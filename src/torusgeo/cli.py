@@ -5,7 +5,7 @@ import argparse
 import sys
 
 from .config import parse_config
-from .errors import ConfigError, TorusGeoError
+from .errors import ConfigError, SolverFailureError, TorusGeoError
 from .experiments import EXPERIMENTS, emit_plot_data, run
 
 
@@ -48,6 +48,9 @@ def main(argv=None) -> int:
             out = args.out or cfg.get("out", "report.jsonl")
             return run(cfg, out)
         return emit_plot_data(args.report, args.out)
+    except SolverFailureError as e:
+        print(f"torusgeo: solver failure: {e}", file=sys.stderr)
+        return 3
     except (TorusGeoError, OSError, ValueError) as e:
         print(f"torusgeo: error: {e}", file=sys.stderr)
         return 2

@@ -6,6 +6,8 @@ given as `prefix.mode_kx,ky = cos_coeff,sin_coeff` plus `prefix.const`.
 """
 from __future__ import annotations
 
+import math
+
 from .errors import ConfigError
 from .fourier import Fourier2D
 from .metrics import (
@@ -44,7 +46,7 @@ def get_float(cfg: dict, key: str, default: float | None = None) -> float:
 
 def get_int(cfg: dict, key: str, default: int | None = None) -> int:
     v = get_float(cfg, key, default if default is None else float(default))
-    if v != int(v):
+    if not math.isfinite(v) or v != int(v):
         raise ConfigError(f"key {key!r}: expected an integer, got {v}")
     return int(v)
 

@@ -61,6 +61,14 @@ def torus_gap(a: float, b: float) -> float:
     return min(d, 1.0 - d)
 
 
+def _count(cfg: dict, key: str, default: int) -> int:
+    """A trial or loop count; zero would make every check pass vacuously."""
+    n = get_int(cfg, key, default)
+    if n < 1:
+        raise ConfigError(f"key {key!r}: expected a count >= 1, got {n}")
+    return n
+
+
 def _solver_config(cfg: dict, seed: int, **overrides) -> SolverConfig:
     kwargs = dict(
         n_vertices=get_int(cfg, "solver.n_vertices", 64),
@@ -156,6 +164,7 @@ def run_uniqueness(cfg: dict, seed: int):
             "spread": rep.spread,
             "n_clusters": rep.n_clusters,
             "n_converged": rep.n_converged,
+            "n_failed": rep.n_failed,
             "best_length": rep.best_length,
             "mean_height": circular_mean(np.mod(best.vertices[:, 1], 1.0)),
             "loop": _loop_record(best),
@@ -177,7 +186,7 @@ def run_uniqueness(cfg: dict, seed: int):
 
 
 def run_cs_property(cfg: dict, seed: int):
-    count = get_int(cfg, "count", 10000)
+    count = _count(cfg, "count", 10000)
     rng = np.random.default_rng(seed)
     metrics = [euclidean(),
                RandersMetric(euclidean(), (0.3, 0.1)),
@@ -232,7 +241,7 @@ def run_speed_cap(cfg: dict, seed: int):
 
 
 def run_mane_polytope(cfg: dict, seed: int):
-    trials = get_int(cfg, "trials", 100)
+    trials = _count(cfg, "trials", 100)
     delta = get_float(cfg, "delta", 0.1)
     eps_rel = get_float(cfg, "eps_rel", 1e-3)
     rng = np.random.default_rng(seed)
@@ -269,7 +278,7 @@ def run_mane_polytope(cfg: dict, seed: int):
 
 
 def run_consistency(cfg: dict, seed: int):
-    trials = get_int(cfg, "trials", 100)
+    trials = _count(cfg, "trials", 100)
     resolution = get_int(cfg, "resolution", 256)
     rng = np.random.default_rng(seed)
     records = []
@@ -279,13 +288,18 @@ def run_consistency(cfg: dict, seed: int):
         factor = random_factor(rng)
         loop = random_loop(rng, n_min=16, n_max=64, jitter=0.15)
         gap = action_consistency(metric, factor, loop, resolution)
+        a = action(metric, loop)
         lip = factor.series.sup_gradient_norm(512)
-        bound = lip * (np.sqrt(2.0) / resolution) * action(metric, loop)
+        # the gap subtracts two sums of size up to sup|lambda| * a, so it carries
+        # rounding even when lip = 0 (a constant factor); sup|lambda| is
+        # certified from the coefficients
+        lam_sup = abs(factor.series.const) + sum(math.hypot(c, s)
+                                                 for c, s in factor.series.modes.values())
+        bound = lip * (np.sqrt(2.0) / resolution) * a + 1e-12 * (1.0 + lam_sup * a)
         if gap > bound:
             gap_ok = False
         cap = float(np.linalg.norm(loop.velocities, axis=1).max()) * (1 + 1e-12)
         mass = pushforward(metric, loop_measure(metric, loop, cap), resolution).total_mass
-        a = action(metric, loop)
         if abs(mass - a) > 1e-12 * (1.0 + a):
             mass_ok = False
         kappa = float(rng.uniform(0.5, 2.0))
@@ -301,7 +315,7 @@ def run_consistency(cfg: dict, seed: int):
 
 
 def run_semicontinuity(cfg: dict, seed: int):
-    trials = get_int(cfg, "trials", 100)
+    trials = _count(cfg, "trials", 100)
     k_lo, k_hi = 1, get_int(cfg, "k_max", 20)
     tail_k = get_int(cfg, "tail_k", 10)
     rng = np.random.default_rng(seed)

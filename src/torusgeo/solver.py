@@ -10,15 +10,14 @@ Armijo backtracking, so the action sequence is strictly non-increasing.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputDomainError, SolverFailureError, TrivialClassError
+from .errors import InputDomainError, MalformedLoopError, SolverFailureError
 from .loops import (
     DiscreteLoop,
     action,
-    cs_gap,
     length,
     reparametrize_constant_speed,
     require_nontrivial,
@@ -69,17 +68,34 @@ def verify_speed_cap(metric: FinslerMetric, loop: DiscreteLoop, winding: tuple[i
     return top <= speed_bound(metric, winding, grid_resolution) * (1.0 + 1e-6)
 
 
+def _edges(x: np.ndarray, winding: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Segment midpoints and velocities N * (x_{i+1} - x_i) of lifts x, shape (S, N, 2)."""
+    nxt = np.concatenate([x[:, 1:], x[:, :1] + np.asarray(winding, float)], axis=1)
+    return 0.5 * (x + nxt), x.shape[1] * (nxt - x)
+
+
+def _actions(metric: FinslerMetric, x: np.ndarray, winding) -> np.ndarray:
+    """Discrete action of each lift in x, shape (S,); see `loops.action`."""
+    mid, vel = _edges(x, winding)
+    return (metric.speed(mid, vel) ** 2).sum(axis=-1) / x.shape[1]
+
+
+def _gradients(metric: FinslerMetric, x: np.ndarray, winding) -> np.ndarray:
+    """Analytic action gradient of each lift in x, shape (S, N, 2)."""
+    n = x.shape[1]
+    gx, gv = metric.speed_sq_grads(*_edges(x, winding))
+    # segment i depends on x_i (midpoint half, velocity -N) and x_{i+1} (+N)
+    return 0.5 * (gx + np.roll(gx, 1, axis=1)) / n + np.roll(gv, 1, axis=1) - gv
+
+
+def _require_finite(x: np.ndarray) -> None:
+    if not np.all(np.isfinite(x)):
+        raise MalformedLoopError("vertices must be finite")
+
+
 def action_gradient(metric: FinslerMetric, loop: DiscreteLoop) -> np.ndarray:
     """Analytic gradient of the discrete action with respect to the vertices."""
-    n = loop.n_vertices
-    gx, gv = metric.speed_sq_grads(loop.midpoints, loop.velocities)
-    # segment i depends on x_i (midpoint half, velocity -N) and x_{i+1} (+N)
-    grad = 0.5 * (gx + np.roll(gx, 1, axis=0)) / n + np.roll(gv, 1, axis=0) - gv
-    return grad
-
-
-def _action_of(metric: FinslerMetric, verts: np.ndarray, winding) -> float:
-    return action(metric, DiscreteLoop(verts, winding))
+    return _gradients(metric, loop.vertices[None], loop.winding)[0]
 
 
 def _precond_factors(n: int, kappa: float = 1.0, c: float = 0.5) -> np.ndarray:
@@ -104,6 +120,68 @@ class SolveResult:
     action_history: list = field(default_factory=list, repr=False)
 
 
+def _descend(metric: FinslerMetric, winding: tuple[int, int], config: SolverConfig,
+             x0: np.ndarray) -> list[SolveResult]:
+    """Descend from S starts x0, shape (S, N, 2), as one array program.
+
+    Each start keeps its own step, Armijo test, stopping test and iteration
+    count, exactly as if it ran alone. A start leaves the live set when it
+    converges or its line search stalls; the backtracking runs on the starts
+    whose trial step is still pending. Memory is O(S * N).
+    """
+    x = np.array(x0, dtype=float)
+    _require_finite(x)
+    n_starts, n = x.shape[:2]
+    kappa = comparison_constant(metric, grid_resolution=16) ** 2
+    symbol = _precond_factors(n, kappa)[:, None]
+    a = _actions(metric, x, winding)
+    histories = [[float(ai)] for ai in a]
+    step = np.full(n_starts, config.step_init)
+    iterations = np.zeros(n_starts, dtype=int)
+    converged = np.zeros(n_starts, dtype=bool)
+    live = np.arange(n_starts)
+    for it in range(1, config.max_iters + 1):
+        if not len(live):
+            break
+        iterations[live] = it
+        g = _gradients(metric, x[live], winding)
+        done = np.abs(g).reshape(len(live), -1).max(axis=1) <= config.grad_tol
+        converged[live[done]] = True
+        live, g = live[~done], g[~done]
+        if not len(live):
+            break
+        d = np.real(np.fft.ifft(np.fft.fft(g, axis=1) / symbol, axis=1))
+        slope = (g * d).reshape(len(live), -1).sum(axis=1)
+        s = step[live]
+        pending = np.arange(len(live))  # positions in `live` still backtracking
+        for _ in range(60):
+            if not len(pending):
+                break
+            idx = live[pending]
+            xn = x[idx] - s[pending, None, None] * d[pending]
+            _require_finite(xn)
+            an = _actions(metric, xn, winding)
+            ok = an <= a[idx] - config.armijo * s[pending] * slope[pending]
+            x[idx[ok]], a[idx[ok]] = xn[ok], an[ok]
+            pending = pending[~ok]
+            s[pending] *= config.step_shrink
+        # a start still pending has stalled at numerical precision
+        moved = np.ones(len(live), dtype=bool)
+        moved[pending] = False
+        live, s = live[moved], s[moved]
+        for i in live:
+            histories[i].append(float(a[i]))
+        step[live] = np.minimum(s * 2.0, config.step_init)
+
+    results = []
+    for i in range(n_starts):
+        out = reparametrize_constant_speed(metric, DiscreteLoop(x[i], winding))
+        results.append(SolveResult(loop=out, converged=bool(converged[i]),
+                                   iterations=int(iterations[i]), action=action(metric, out),
+                                   length=length(metric, out), action_history=histories[i]))
+    return results
+
+
 def shortest_loop(metric: FinslerMetric, winding: tuple[int, int], config: SolverConfig,
                   init: DiscreteLoop | str = "straight") -> SolveResult:
     """Minimize the discrete action over vertex positions at fixed winding.
@@ -123,43 +201,8 @@ def shortest_loop(metric: FinslerMetric, winding: tuple[int, int], config: Solve
     else:
         if init.winding != tuple(winding):
             raise InputDomainError("initial loop has the wrong winding class")
-        verts = init.vertices.copy()
-
-    n = len(verts)
-    kappa = comparison_constant(metric, grid_resolution=16) ** 2
-    symbol = _precond_factors(n, kappa)[:, None]
-    x = verts
-    a = _action_of(metric, x, winding)
-    history = [a]
-    step = config.step_init
-    converged = False
-    it = 0
-    for it in range(1, config.max_iters + 1):
-        g = action_gradient(metric, DiscreteLoop(x, winding))
-        if np.abs(g).max() <= config.grad_tol:
-            converged = True
-            break
-        d = np.real(np.fft.ifft(np.fft.fft(g, axis=0) / symbol, axis=0))
-        slope = float((g * d).sum())
-        s = step
-        accepted = False
-        for _ in range(60):
-            xn = x - s * d
-            an = _action_of(metric, xn, winding)
-            if an <= a - config.armijo * s * slope:
-                accepted = True
-                break
-            s *= config.step_shrink
-        if not accepted:
-            break  # line search stalled at numerical precision
-        x, a = xn, an
-        history.append(a)
-        step = min(s * 2.0, config.step_init)
-
-    out = reparametrize_constant_speed(metric, DiscreteLoop(x, winding))
-    return SolveResult(loop=out, converged=converged, iterations=it,
-                       action=action(metric, out), length=length(metric, out),
-                       action_history=history)
+        verts = init.vertices
+    return _descend(metric, winding, config, verts[None])[0]
 
 
 def _torus_pairwise(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -177,6 +220,33 @@ def loop_distance(a: DiscreteLoop, b: DiscreteLoop) -> float:
     return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
 
 
+_DISTANCE_BLOCK = 4  # loops compared at once: (block, N, N) arrays keep memory small
+
+
+def _distance_table(loops: list[DiscreteLoop]) -> np.ndarray:
+    """All pairwise `loop_distance` values of same-class loops with equal N, as a table.
+
+    Each loop meets a block of later loops at once as (k, N, N) arrays per
+    coordinate. The vertices are reduced mod 1 once, so coordinate gaps lie in
+    [0, 1] and need no further reduction; the root is taken after min/max,
+    which it commutes with, so the table equals `loop_distance` exactly.
+    """
+    pts = np.mod(np.stack([lp.vertices for lp in loops]), 1.0)
+    m = len(loops)
+    dist = np.zeros((m, m))
+    for i in range(m - 1):
+        for j in range(i + 1, m, _DISTANCE_BLOCK):
+            block = pts[j:j + _DISTANCE_BLOCK]
+            dx = np.abs(pts[i, None, :, None, 0] - block[:, None, :, 0])
+            dy = np.abs(pts[i, None, :, None, 1] - block[:, None, :, 1])
+            dx = np.minimum(dx, 1.0 - dx)
+            dy = np.minimum(dy, 1.0 - dy)
+            sq = dx * dx + dy * dy
+            far = np.maximum(sq.min(axis=2).max(axis=1), sq.min(axis=1).max(axis=1))
+            dist[i, j:j + _DISTANCE_BLOCK] = dist[j:j + _DISTANCE_BLOCK, i] = np.sqrt(far)
+    return dist
+
+
 @dataclass(frozen=True)
 class MinimizerCluster:
     representative: DiscreteLoop
@@ -190,6 +260,7 @@ class MinimizerReport:
     spread: float
     best_length: float
     n_converged: int
+    n_failed: int  # starts that stopped without converging; left out of the clusters
 
     @property
     def n_clusters(self) -> int:
@@ -216,30 +287,37 @@ def _single_linkage(dist: np.ndarray, tol: float) -> list[list[int]]:
     return list(groups.values())
 
 
-def minimizer_set(metric: FinslerMetric, winding: tuple[int, int],
-                  config: SolverConfig) -> MinimizerReport:
-    """Multi-start descent; cluster the near-optimal minima and report their spread.
+def _starts(winding: tuple[int, int], config: SolverConfig) -> np.ndarray:
+    """The seeded initial lifts of `minimizer_set`, shape (num_starts, n_vertices, 2).
 
     Starts are straight lifts translated by stratified offsets along the class
     normal, plus seeded jitter, so a continuum of minimizers (the flat case)
     is witnessed rather than collapsed onto one representative.
     """
-    require_nontrivial(winding)
     rng = np.random.default_rng(config.seed)
     gnorm = min_reference_length(winding)
     normal = np.array([-winding[1], winding[0]], float) / gnorm
-    results = []
+    shape = (config.n_vertices, 2)
+    x0 = np.empty((config.num_starts,) + shape)
     for k in range(config.num_starts):
         offset = ((k + rng.random()) / config.num_starts) * normal \
             + rng.uniform(-config.jitter, config.jitter, size=2)
         base = DiscreteLoop.straight(winding, config.n_vertices, offset=offset)
-        init = DiscreteLoop(
-            base.vertices + rng.uniform(-config.jitter, config.jitter,
-                                        size=base.vertices.shape),
-            winding)
-        res = shortest_loop(metric, winding, config, init=init)
-        if res.converged:
-            results.append(res)
+        x0[k] = base.vertices + rng.uniform(-config.jitter, config.jitter, size=shape)
+    return x0
+
+
+def minimizer_set(metric: FinslerMetric, winding: tuple[int, int],
+                  config: SolverConfig) -> MinimizerReport:
+    """Multi-start descent; cluster the near-optimal minima and report their spread.
+
+    All starts (see `_starts`) descend together in one batch, each with its
+    own step. Starts that do not converge are counted in `n_failed` and left
+    out of the clusters.
+    """
+    require_nontrivial(winding)
+    solved = _descend(metric, winding, config, _starts(winding, config))
+    results = [r for r in solved if r.converged]
     if not results:
         raise SolverFailureError("no descent run converged")
 
@@ -248,12 +326,8 @@ def minimizer_set(metric: FinslerMetric, winding: tuple[int, int],
     # canonical order: by length, then lexicographically by projected vertices
     kept.sort(key=lambda r: (r.length, tuple(np.round(np.mod(r.loop.vertices, 1.0), 12).ravel())))
     loops = [r.loop for r in kept]
-    m = len(loops)
-    dist = np.zeros((m, m))
-    for i in range(m):
-        for j in range(i + 1, m):
-            dist[i, j] = dist[j, i] = loop_distance(loops[i], loops[j])
-    spread = float(dist.max()) if m > 1 else 0.0
+    dist = _distance_table(loops)
+    spread = float(dist.max())
     clusters = []
     for idx in _single_linkage(dist, config.cluster_tol):
         rep = min(idx, key=lambda i: (kept[i].length, i))
@@ -262,7 +336,8 @@ def minimizer_set(metric: FinslerMetric, winding: tuple[int, int],
     clusters.sort(key=lambda c: (c.length,
                                  tuple(np.round(np.mod(c.representative.vertices, 1.0), 12).ravel())))
     return MinimizerReport(clusters=tuple(clusters), spread=spread,
-                           best_length=best, n_converged=len(results))
+                           best_length=best, n_converged=len(results),
+                           n_failed=len(solved) - len(results))
 
 
 def refine(loop: DiscreteLoop) -> DiscreteLoop:

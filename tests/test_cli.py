@@ -120,6 +120,44 @@ def test_run_missing_config_exits_2(tmp_path):
     assert main(["run", str(tmp_path / "absent.cfg")]) == 2
 
 
+def test_run_solver_failure_exits_3(tmp_path, capsys):
+    cfg = write(tmp_path, "fail.cfg",
+                "experiment = uniqueness\n"
+                "t_values = 0.2\n"
+                "solver.max_iters = 1\n"
+                "solver.num_starts = 2\n")
+    assert main(["run", cfg, "--out", str(tmp_path / "x.jsonl")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("torusgeo: ") and err.count("\n") == 1
+    assert "no descent run converged" in err
+
+
+def test_run_non_finite_integer_exits_2(tmp_path):
+    cfg = write(tmp_path, "big.cfg", "experiment = uniqueness\nsolver.n_vertices = 1e400\n")
+    assert main(["run", cfg, "--out", str(tmp_path / "x.jsonl")]) == 2
+
+
+def test_run_zero_count_exits_2(tmp_path):
+    cfg = write(tmp_path, "cs.cfg", "experiment = cs-property\ncount = 0\n")
+    assert main(["run", cfg, "--out", str(tmp_path / "x.jsonl")]) == 2
+
+
+@pytest.mark.parametrize("experiment", ["consistency", "mane-polytope", "semicontinuity"])
+def test_run_zero_trials_exits_2(tmp_path, experiment):
+    cfg = write(tmp_path, "zero.cfg", f"experiment = {experiment}\ntrials = 0\n")
+    assert main(["run", cfg, "--out", str(tmp_path / "x.jsonl")]) == 2
+
+
+def test_run_consistency_constant_factor_trial_passes(tmp_path):
+    # trial 16 at seed 1 draws a constant factor: its Lipschitz bound is 0 and
+    # the gap is pure rounding (2.2e-16), which the bound must allow
+    cfg = write(tmp_path, "bridge.cfg", "experiment = consistency\nseed = 1\ntrials = 17\n")
+    out = str(tmp_path / "bridge.jsonl")
+    assert main(["run", cfg, "--out", out]) == 0
+    last = [r for r in read_report(out) if r.get("kind") == "consistency"][-1]
+    assert 0.0 < last["gap"] <= last["bound"]
+
+
 def test_plot_data_uniqueness(tmp_path):
     cfg = write(tmp_path, "uni.cfg",
                 "experiment = uniqueness\n"

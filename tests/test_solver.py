@@ -18,10 +18,10 @@ from torusgeo import (
     speed_bound,
     verify_speed_cap,
 )
-from torusgeo.errors import InputDomainError, TrivialClassError
+from torusgeo.errors import InputDomainError, MalformedLoopError, TrivialClassError
 from torusgeo.fourier import Fourier2D
-from torusgeo.metrics import conformal_scale
-from torusgeo.solver import refine
+from torusgeo.metrics import RiemannianMetric, conformal_scale
+from torusgeo.solver import _descend, _distance_table, _starts, refine
 
 CFG = SolverConfig(n_vertices=64, max_iters=2000, grad_tol=1e-7, seed=0)
 
@@ -156,6 +156,56 @@ def test_refinement_consistency():
         assert abs(fine.length - coarse.length) <= 5e-3 * coarse.length
 
 
+# -- the batched descent core ---------------------------------------------------------
+
+def test_batch_matches_batches_of_one():
+    # at t = 0.05 the starts need 110-220 iterations: with max_iters = 190 some
+    # converge and some stop at the cap, each on its own schedule
+    from torusgeo.experiments import height_bump
+    m = conformal_scale(euclidean(), height_bump(0.05))
+    cfg = SolverConfig(n_vertices=32, num_starts=6, max_iters=190, grad_tol=1e-7, seed=0)
+    x0 = _starts((1, 0), cfg)
+    batch = _descend(m, (1, 0), cfg, x0)
+    alone = [shortest_loop(m, (1, 0), cfg, init=DiscreteLoop(x, (1, 0))) for x in x0]
+    assert 0 < sum(r.converged for r in alone) < len(alone)
+    for b, a in zip(batch, alone):
+        assert np.array_equal(b.loop.vertices, a.loop.vertices)
+        assert (b.iterations, b.converged, b.length, b.action) == \
+            (a.iterations, a.converged, a.length, a.action)
+        assert b.action_history == a.action_history
+    rep = minimizer_set(m, (1, 0), cfg)
+    assert rep.n_converged == sum(r.converged for r in alone)
+    assert rep.n_failed == len(alone) - rep.n_converged
+
+
+class _SteepMetric(RiemannianMetric):
+    """Euclidean speeds with the gradient scaled by `scale`: every trial step overshoots."""
+
+    def __init__(self, scale):
+        super().__init__()
+        self.scale = scale
+
+    def speed_sq_grads(self, x, v):
+        gx, gv = super().speed_sq_grads(x, v)
+        return gx * self.scale, gv * self.scale
+
+
+def test_stalled_line_search_returns_unconverged():
+    cfg = SolverConfig(n_vertices=32, num_starts=3, seed=1)
+    x0 = _starts((1, 0), cfg)
+    for res, x in zip(_descend(_SteepMetric(1e30), (1, 0), cfg, x0), x0):
+        assert not res.converged
+        assert res.iterations == 1
+        assert len(res.action_history) == 1
+        assert res.action_history[0] == action(euclidean(), DiscreteLoop(x, (1, 0)))
+
+
+def test_non_finite_trial_step_raises():
+    cfg = SolverConfig(n_vertices=32, num_starts=3, seed=1)
+    with pytest.raises(MalformedLoopError):
+        minimizer_set(_SteepMetric(np.nan), (1, 0), cfg)
+
+
 # -- loop_distance ------------------------------------------------------------------
 
 def test_loop_distance_identical_and_translates():
@@ -165,6 +215,24 @@ def test_loop_distance_identical_and_translates():
     assert loop_distance(a, b) == pytest.approx(0.3, abs=1e-12)
     c = DiscreteLoop.straight((1, 0), 16, offset=(0.0, 0.7))
     assert loop_distance(a, c) == pytest.approx(0.4, abs=1e-12)  # wraparound
+
+
+def test_distance_table_equals_loop_distance():
+    rng = np.random.default_rng(11)
+    loops = [DiscreteLoop(DiscreteLoop.straight((2, 1), 16, offset=rng.uniform(-3, 3, 2)).vertices
+                          + rng.uniform(-0.3, 0.3, (16, 2)), (2, 1)) for _ in range(5)]
+    # vertices on the wrap: exactly 0, 1 and -1, just inside it, and -1e-20,
+    # which reduces mod 1 to exactly 1.0
+    wrap = DiscreteLoop.straight((2, 1), 16).vertices.copy()
+    wrap[:6] = [[0.0, 1.0], [1.0, 0.0], [-1.0, -1e-20], [-1e-20, 0.5],
+                [np.nextafter(1.0, 0.0), -0.0], [np.nextafter(0.0, 1.0), 2.0]]
+    loops += [DiscreteLoop(wrap, (2, 1)), DiscreteLoop(wrap - 1e-20, (2, 1))]
+    table = _distance_table(loops)
+    for i in range(len(loops)):
+        assert table[i, i] == 0.0
+        for j in range(len(loops)):
+            if i != j:
+                assert table[i, j] == loop_distance(loops[i], loops[j])
 
 
 def test_loop_distance_rejects_winding_mismatch():
