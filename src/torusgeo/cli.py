@@ -54,6 +54,11 @@ def main(argv=None) -> int:
     except (TorusGeoError, OSError, ValueError) as e:
         print(f"torusgeo: error: {e}", file=sys.stderr)
         return 2
+    except MemoryError as e:
+        # a size in the config too large to allocate, e.g. solver.n_vertices = 1e15
+        print(f"torusgeo: error: out of memory, a size in the config is too large: {e}",
+              file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

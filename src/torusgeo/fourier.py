@@ -51,15 +51,15 @@ class Fourier2D:
     def __call__(self, pts) -> np.ndarray:
         """Evaluate at points of shape (..., 2)."""
         pts = np.asarray(pts, dtype=float)
-        out = np.full(pts.shape[:-1], self.const)
-        x, y = pts[..., 0], pts[..., 1]
-        for (kx, ky), (a, b) in self.modes.items():
-            th = TWO_PI * (kx * x + ky * y)
-            out = out + a * np.cos(th) + b * np.sin(th)
-        return out
+        (out,) = FieldPass((self,))(pts[..., 0], pts[..., 1])
+        return np.full(pts.shape[:-1], out) if type(out) is float else out
 
     def value(self, x: float, y: float) -> float:
         return float(self(np.array([x, y])))
+
+    def vanishes(self) -> bool:
+        """True iff the series is identically zero (every coefficient is 0)."""
+        return self.const == 0.0 and all(ab == (0.0, 0.0) for ab in self.modes.values())
 
     # -- calculus -----------------------------------------------------------
 
@@ -121,7 +121,7 @@ class Fourier2D:
         return np.stack([gx, gy], axis=-1)
 
     def grid_values(self, n: int) -> np.ndarray:
-        return self(self.grid(n))
+        return on_grid((self,), n)[0]
 
     def max_abs(self, n: int = 64) -> float:
         return float(np.abs(self.grid_values(n)).max())
@@ -131,8 +131,7 @@ class Fourier2D:
 
     def sup_gradient_norm(self, n: int = 256) -> float:
         """Max Euclidean norm of the gradient on an n x n grid (Lipschitz estimate)."""
-        dx = self.derivative(1, 0).grid_values(n)
-        dy = self.derivative(0, 1).grid_values(n)
+        dx, dy = on_grid((self.derivative(1, 0), self.derivative(0, 1)), n)
         return float(np.hypot(dx, dy).max())
 
     def coefficients_equal(self, other: "Fourier2D", tol: float = 0.0) -> bool:
@@ -184,5 +183,81 @@ def _from_complex(c: dict[Mode, complex]) -> Fourier2D:
     return out
 
 
-def constant(c: float) -> Fourier2D:
-    return Fourier2D(float(c))
+def _fits(position: dict[Mode, int], modes: list[Mode]) -> bool:
+    """True iff `modes`, in their order, can join a pass whose mode order is `position`.
+
+    New modes join at the end of the pass, so they must follow every mode
+    the series shares with it.
+    """
+    last, new = -1, len(position)
+    for k in modes:
+        p = position.get(k)
+        if p is None:
+            p, new = new, new + 1
+        if p <= last:
+            return False
+        last = p
+    return True
+
+
+class FieldPass:
+    """Several series evaluated together on the same points: one cos/sin per mode.
+
+    Each series adds its modes in its own order with the operations of the
+    single-series evaluation, so every value is bitwise the one a series
+    evaluated alone gets. Modes with zero coefficients are left out. A series
+    whose mode order conflicts with the shared one gets a pass of its own.
+    """
+
+    def __init__(self, series):
+        self.consts = [f.const for f in series]
+        # each pass: the position of each of its modes, and per mode the
+        # (series index, a, b) terms that use it
+        self.passes: list[tuple[dict[Mode, int], list[tuple[Mode, list]]]] = []
+        for i, f in enumerate(series):
+            live = [(k, ab) for k, ab in f.modes.items() if ab != (0.0, 0.0)]
+            if not live:
+                continue
+            keys = [k for k, _ in live]
+            for position, steps in self.passes:
+                if _fits(position, keys):
+                    break
+            else:
+                position, steps = {}, []
+                self.passes.append((position, steps))
+            for k, (a, b) in live:
+                if k not in position:
+                    position[k] = len(steps)
+                    steps.append((k, []))
+                steps[position[k]][1].append((i, a, b))
+
+    def __call__(self, x, y) -> list:
+        """Values at the points (x, y); x and y broadcast (point coordinates or grid axes).
+
+        A series without live modes gives its constant as a Python float.
+        """
+        out = list(self.consts)
+        for _, steps in self.passes:
+            for (kx, ky), terms in steps:
+                th = TWO_PI * (kx * x + ky * y)
+                c = np.cos(th)
+                s = np.sin(th, out=th) if isinstance(th, np.ndarray) else np.sin(th)
+                for i, a, b in terms:
+                    v = out[i]
+                    if type(v) is float:  # the series' first term: a new array
+                        v = v + a * c
+                    else:
+                        v += a * c
+                    v += b * s
+                    out[i] = v
+        return out
+
+
+def on_grid(series, n: int) -> list[np.ndarray]:
+    """Values of several series on the n x n grid of `Fourier2D.grid`, from one pass.
+
+    The grid is never built: each mode's phase comes from the broadcast axes.
+    """
+    t = np.arange(n) / n
+    values = FieldPass(series)(t[:, None], t[None, :])
+    return [np.full((n, n), v) if type(v) is float else v for v in values]

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputDomainError, ResolutionMismatchError
+from .fourier import FieldPass
 from .loops import DiscreteLoop, LoopMeasure, action, loop_measure
 from .metrics import ConformalFactor, FinslerMetric, conformal_scale
 
@@ -36,12 +37,6 @@ class GridMeasure:
     @property
     def total_mass(self) -> float:
         return float(self.weights.sum())
-
-    def cell_centers(self) -> np.ndarray:
-        m = self.resolution
-        t = (np.arange(m) + 0.5) / m
-        gx, gy = np.meshgrid(t, t, indexing="ij")
-        return np.stack([gx, gy], axis=-1)
 
     def to_csv(self) -> str:
         lines = [f"{self.resolution},{self.total_mass!r}"]
@@ -72,8 +67,13 @@ def pushforward(metric: FinslerMetric, mu: LoopMeasure, resolution: int) -> Grid
 
 
 def pairing(factor: ConformalFactor, mu: GridMeasure) -> float:
-    """Integral of the factor against the grid measure (cell-center quadrature)."""
-    return float((factor(mu.cell_centers()) * mu.weights).sum())
+    """Integral of the factor against the grid measure (cell-center quadrature).
+
+    The factor is evaluated from the grid's 1-D axes; the grid is never built.
+    """
+    t = (np.arange(mu.resolution) + 0.5) / mu.resolution
+    (values,) = FieldPass((factor.series,))(t[:, None], t[None, :])
+    return float((values * mu.weights).sum())
 
 
 def action_consistency(metric: FinslerMetric, factor: ConformalFactor, loop: DiscreteLoop,

@@ -4,15 +4,16 @@ Three variants are supported: Riemannian metrics with Fourier coefficient
 fields, Randers metrics (Riemannian norm plus a drift one-form with pointwise
 dual norm below one), and conformal rescalings sqrt(lambda) * F by a positive
 factor. All are positively homogeneous and strictly convex away from v = 0;
-Randers metrics are not differentiable across the zero section and are never
-evaluated there by the solver.
+Randers metrics are not differentiable across the zero section; where a loop
+has coincident vertices (v = 0) their kernel gives F = 0 and the limit
+gradient 0.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .errors import InputDomainError, InvalidMetricError, NotAConformalFactorError
-from .fourier import Fourier2D
+from .fourier import FieldPass, Fourier2D, on_grid
 
 _VALIDATION_GRID = 64
 _POSITIVITY_GRID = 128
@@ -64,15 +65,63 @@ class ConformalFactor:
 
 
 class FinslerMetric:
-    """Base class: a norm-like function F(x, v) on T^2 x R^2."""
+    """Base class: a norm-like function F(x, v) on T^2 x R^2.
+
+    A metric lists the coefficient series it reads (`_fields`) and computes
+    F, or F with the gradients of F^2, from their values (`_speed`,
+    `_kernel`). The public methods evaluate all fields on the points in one
+    shared pass (`fourier.FieldPass`), so a composite metric such as a
+    conformal rescaling evaluates its own fields and its base's together,
+    each once. A field without modes is used as its Python float.
+    """
+
+    def _fields(self, grads: bool) -> tuple[Fourier2D, ...]:
+        """The series read by `_speed` (grads=False) or `_kernel` (grads=True), in order."""
+        raise NotImplementedError
+
+    def _speed(self, vals: list, v: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def _kernel(self, vals: list, v: np.ndarray):
+        raise NotImplementedError
+
+    def _build_passes(self) -> None:
+        self._passes = (FieldPass(self._fields(False)), FieldPass(self._fields(True)))
 
     def speed(self, x, v) -> np.ndarray:
         """F(x, v) for broadcastable arrays of shape (..., 2)."""
-        raise NotImplementedError
+        x, v = np.asarray(x, float), np.asarray(v, float)
+        f = self._speed(self._passes[0](x[..., 0], x[..., 1]), v)
+        return _broadcast(x, v, f)[0]
+
+    def kernel(self, x, v) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """F, and the gradients of F^2 with respect to x and v, from one pass over the fields.
+
+        F has the shape of the broadcast points, the gradients one more axis
+        of length 2; F is bitwise the value `speed` gives.
+        """
+        x, v = np.asarray(x, float), np.asarray(v, float)
+        return _broadcast(x, v, *self._kernel(self._passes[1](x[..., 0], x[..., 1]), v))
 
     def speed_sq_grads(self, x, v) -> tuple[np.ndarray, np.ndarray]:
         """Gradients of F^2 with respect to x and v, each of shape (..., 2)."""
-        raise NotImplementedError
+        return self.kernel(x, v)[1:]
+
+
+def _broadcast(x, v, f, *grads):
+    """The results widened to the broadcast shape of the points x and vectors v.
+
+    Fields given as floats do not carry the shape of x, so a result computed
+    from them alone has the shape of v.
+    """
+    if x.shape == v.shape:
+        return (f,) + grads
+    shape = np.broadcast_shapes(x.shape[:-1], v.shape[:-1])
+    return (_widen(f, shape),) + tuple(_widen(g, shape + (2,)) for g in grads)
+
+
+def _widen(a, shape):
+    return a if np.shape(a) == shape else np.broadcast_to(a, shape).copy()
 
 
 class RiemannianMetric(FinslerMetric):
@@ -80,35 +129,39 @@ class RiemannianMetric(FinslerMetric):
 
     def __init__(self, g11=1.0, g12=0.0, g22=1.0, validate: bool = True):
         self.g11, self.g12, self.g22 = (_as_series(g11), _as_series(g12), _as_series(g22))
-        self._dg = {
-            0: (self.g11.derivative(1, 0), self.g12.derivative(1, 0), self.g22.derivative(1, 0)),
-            1: (self.g11.derivative(0, 1), self.g12.derivative(0, 1), self.g22.derivative(0, 1)),
-        }
+        g = (self.g11, self.g12, self.g22)
+        # d/dx of (g11, g12, g22), then d/dy
+        self._dg = tuple(s.derivative(1, 0) for s in g) + tuple(s.derivative(0, 1) for s in g)
+        self._dg_live = tuple(not all(s.vanishes() for s in self._dg[3 * i:3 * i + 3])
+                              for i in (0, 1))
+        self._build_passes()
         if validate:
-            g = Fourier2D.grid(_VALIDATION_GRID)
-            a, b, c = self.g11(g), self.g12(g), self.g22(g)
+            a, b, c = on_grid(g, _VALIDATION_GRID)
             if a.min() <= 0.0 or (a * c - b * b).min() <= 0.0:
                 raise InvalidMetricError("Riemannian coefficient field is not positive definite")
 
-    def _coeffs(self, x):
-        return self.g11(x), self.g12(x), self.g22(x)
+    def _fields(self, grads):
+        return (self.g11, self.g12, self.g22) + (self._dg if grads else ())
 
-    def speed(self, x, v):
-        x, v = np.asarray(x, float), np.asarray(v, float)
-        a, b, c = self._coeffs(x)
+    def _speed(self, vals, v):
+        a, b, c = vals[:3]
         q = a * v[..., 0] ** 2 + 2.0 * b * v[..., 0] * v[..., 1] + c * v[..., 1] ** 2
         return np.sqrt(np.maximum(q, 0.0))
 
-    def speed_sq_grads(self, x, v):
-        x, v = np.asarray(x, float), np.asarray(v, float)
-        a, b, c = self._coeffs(x)
+    def _kernel(self, vals, v):
+        a, b, c = vals[:3]
         vx, vy = v[..., 0], v[..., 1]
         gv = np.stack([2.0 * (a * vx + b * vy), 2.0 * (b * vx + c * vy)], axis=-1)
-        gx = np.empty_like(gv)
+        gx = np.zeros_like(gv)
         for axis in (0, 1):
-            da, db, dc = (s(x) for s in self._dg[axis])
-            gx[..., axis] = da * vx ** 2 + 2.0 * db * vx * vy + dc * vy ** 2
-        return gx, gv
+            if self._dg_live[axis]:
+                da, db, dc = vals[3 + 3 * axis:6 + 3 * axis]
+                gx[..., axis] = da * vx ** 2 + 2.0 * db * vx * vy + dc * vy ** 2
+        return self._speed(vals, v), gx, gv
+
+    # kept in each class's own dict, where perfbench/tracing.py wraps them
+    speed = FinslerMetric.speed
+    speed_sq_grads = FinslerMetric.speed_sq_grads
 
 
 def euclidean() -> RiemannianMetric:
@@ -123,14 +176,15 @@ class RandersMetric(FinslerMetric):
                  validate: bool = True):
         self.riemannian = riemannian if riemannian is not None else euclidean()
         self.beta_x, self.beta_y = (_as_series(beta[0]), _as_series(beta[1]))
-        self._db = {
-            0: (self.beta_x.derivative(1, 0), self.beta_y.derivative(1, 0)),
-            1: (self.beta_x.derivative(0, 1), self.beta_y.derivative(0, 1)),
-        }
+        # (d beta_x, d beta_y) along x, then along y
+        self._db = (self.beta_x.derivative(1, 0), self.beta_y.derivative(1, 0),
+                    self.beta_x.derivative(0, 1), self.beta_y.derivative(0, 1))
+        self._db_live = tuple(not (self._db[2 * i].vanishes() and self._db[2 * i + 1].vanishes())
+                              for i in (0, 1))
+        self._build_passes()
         if validate:
-            g = Fourier2D.grid(_VALIDATION_GRID)
-            a, b, c = self.riemannian._coeffs(g)
-            bx, by = self.beta_x(g), self.beta_y(g)
+            a, b, c, bx, by = on_grid(self.riemannian._fields(False) + (self.beta_x, self.beta_y),
+                                      _VALIDATION_GRID)
             det = a * c - b * b
             # dual norm: beta g^{-1} beta
             dual = (c * bx ** 2 - 2.0 * b * bx * by + a * by ** 2) / det
@@ -139,26 +193,33 @@ class RandersMetric(FinslerMetric):
                     f"Randers drift has dual norm >= 1 somewhere (max = {np.sqrt(dual.max()):g})"
                 )
 
-    def speed(self, x, v):
-        x, v = np.asarray(x, float), np.asarray(v, float)
-        s = self.riemannian.speed(x, v)
-        return s + self.beta_x(x) * v[..., 0] + self.beta_y(x) * v[..., 1]
+    def _fields(self, grads):
+        return (self.riemannian._fields(grads) + (self.beta_x, self.beta_y)
+                + (self._db if grads else ()))
 
-    def speed_sq_grads(self, x, v):
-        x, v = np.asarray(x, float), np.asarray(v, float)
-        s = self.riemannian.speed(x, v)
-        rx, rv = self.riemannian.speed_sq_grads(x, v)  # grads of s^2
-        bx, by = self.beta_x(x), self.beta_y(x)
+    def _speed(self, vals, v):
+        bx, by = vals[3:5]
+        return self.riemannian._speed(vals, v) + bx * v[..., 0] + by * v[..., 1]
+
+    def _kernel(self, vals, v):
+        s, rx, rv = self.riemannian._kernel(vals, v)  # rx, rv: grads of s^2
+        bx, by = vals[9:11]
         f = s + bx * v[..., 0] + by * v[..., 1]
-        ratio = f / s  # requires v != 0
-        gv = np.empty_like(rv)
+        # at v = 0 (coincident vertices) F = 0 and the limit gradient is 0
+        ratio = np.divide(f, s, out=np.zeros_like(f), where=s != 0.0)
+        gv = np.empty(np.shape(f) + (2,))
         gv[..., 0] = ratio * rv[..., 0] + 2.0 * f * bx
         gv[..., 1] = ratio * rv[..., 1] + 2.0 * f * by
-        gx = np.empty_like(rx)
+        gx = np.empty_like(gv)
         for axis in (0, 1):
-            dbx, dby = (s_(x) for s_ in self._db[axis])
-            gx[..., axis] = ratio * rx[..., axis] + 2.0 * f * (dbx * v[..., 0] + dby * v[..., 1])
-        return gx, gv
+            gx[..., axis] = ratio * rx[..., axis]
+            if self._db_live[axis]:
+                dbx, dby = vals[11 + 2 * axis:13 + 2 * axis]
+                gx[..., axis] += 2.0 * f * (dbx * v[..., 0] + dby * v[..., 1])
+        return f, gx, gv
+
+    speed = FinslerMetric.speed
+    speed_sq_grads = FinslerMetric.speed_sq_grads
 
 
 class ConformalMetric(FinslerMetric):
@@ -172,22 +233,31 @@ class ConformalMetric(FinslerMetric):
         self.base = base
         self.factor = factor
         self._dlam = (factor.series.derivative(1, 0), factor.series.derivative(0, 1))
+        self._dlam_live = tuple(not d.vanishes() for d in self._dlam)
+        self._build_passes()
 
-    def speed(self, x, v):
-        x = np.asarray(x, float)
-        return np.sqrt(self.factor(x)) * self.base.speed(x, v)
+    def _fields(self, grads):
+        own = (self.factor.series,) + (self._dlam if grads else ())
+        return own + self.base._fields(grads)
 
-    def speed_sq_grads(self, x, v):
-        x = np.asarray(x, float)
-        lam = self.factor(x)
-        fb = self.base.speed(x, v)
-        bx, bv = self.base.speed_sq_grads(x, v)
-        gv = lam[..., None] * bv
-        gx = lam[..., None] * bx
+    def _speed(self, vals, v):
+        return np.sqrt(vals[0]) * self.base._speed(vals[1:], v)
+
+    def _kernel(self, vals, v):
+        lam = vals[0]
+        fb, bx, bv = self.base._kernel(vals[3:], v)
+        col = np.asarray(lam)[..., None]
+        f = np.sqrt(lam) * fb
+        gv = col * bv
+        gx = col * bx
         fb2 = fb ** 2
-        gx[..., 0] += self._dlam[0](x) * fb2
-        gx[..., 1] += self._dlam[1](x) * fb2
-        return gx, gv
+        for axis in (0, 1):
+            if self._dlam_live[axis]:
+                gx[..., axis] += vals[1 + axis] * fb2
+        return f, gx, gv
+
+    speed = FinslerMetric.speed
+    speed_sq_grads = FinslerMetric.speed_sq_grads
 
 
 def conformal_scale(metric: FinslerMetric, factor: ConformalFactor) -> ConformalMetric:
@@ -292,7 +362,8 @@ def seminorm_distance(f: ConformalFactor, g: ConformalFactor, k_max: int = 8,
     total = 0.0
     norm_k = 0.0
     for k in range(k_max + 1):
-        level = max(d.derivative(i, k - i).max_abs(grid_n) for i in range(k + 1))
+        parts = on_grid([d.derivative(i, k - i) for i in range(k + 1)], grid_n)
+        level = max(float(np.abs(p).max()) for p in parts)
         norm_k = max(norm_k, level)
         total += 2.0 ** (-k) * norm_k / (1.0 + norm_k)
     return total

@@ -216,7 +216,9 @@ def shrink_argmin(f: Functional, body: ConvexBody, eps: float, delta: float,
     Two inequalities are asserted at every tested t: m(f + t g) <= m(f) +
     t * m0(g), and every active vertex x of f + t g satisfies g(x) <= m0(g) +
     tol, where m0(g) is the minimum of g over the argmin face of f. A
-    violation or an exhausted schedule is surfaced as an error, never ignored.
+    violation or an exhausted schedule is surfaced as an error, never ignored;
+    when t * g is too small to separate the face's vertices under the
+    active-set tolerance, the error says that delta is below what tol resolves.
     """
     if eps <= 0 or delta <= 0:
         raise InputDomainError("eps and delta must be positive")
@@ -243,6 +245,15 @@ def shrink_argmin(f: Functional, body: ConvexBody, eps: float, delta: float,
                 f"{a.value:g} > {base.value + t * m0:g}")
         gvals = g(body.vertices[list(a.active_indices)])
         if gvals.max() > m0 + tol * (1.0 + abs(m0)):
+            # a vertex of f's argmin face stays active under f + t*g when the
+            # tolerances of both active sets cover its separation t*(g(x) - m0)
+            apart = t * (gvals.max() - m0)
+            window = tol * (scale + 1.0 + abs(a.value))
+            if apart <= window:
+                raise PerturbationFailureError(
+                    f"delta = {delta:g} is below what tol = {tol:g} can resolve: at t = {t:g} "
+                    f"the perturbation separates the face's vertices by {apart:g}, within "
+                    f"the active-set tolerance {window:g}")
             raise PerturbationFailureError(
                 f"active vertex of the perturbed functional escapes the exposed face "
                 f"at t = {t:g}")

@@ -74,18 +74,21 @@ def _edges(x: np.ndarray, winding: tuple[int, int]) -> tuple[np.ndarray, np.ndar
     return 0.5 * (x + nxt), x.shape[1] * (nxt - x)
 
 
-def _actions(metric: FinslerMetric, x: np.ndarray, winding) -> np.ndarray:
-    """Discrete action of each lift in x, shape (S,); see `loops.action`."""
-    mid, vel = _edges(x, winding)
-    return (metric.speed(mid, vel) ** 2).sum(axis=-1) / x.shape[1]
+def _evaluate(metric: FinslerMetric, x: np.ndarray, winding) -> tuple[np.ndarray, np.ndarray]:
+    """Discrete action, shape (S,), and its analytic gradient, shape (S, N, 2), of each lift in x.
 
-
-def _gradients(metric: FinslerMetric, x: np.ndarray, winding) -> np.ndarray:
-    """Analytic action gradient of each lift in x, shape (S, N, 2)."""
+    One metric kernel call gives both; the action is the one `loops.action` computes.
+    """
     n = x.shape[1]
-    gx, gv = metric.speed_sq_grads(*_edges(x, winding))
+    f, gx, gv = metric.kernel(*_edges(x, winding))
     # segment i depends on x_i (midpoint half, velocity -N) and x_{i+1} (+N)
-    return 0.5 * (gx + np.roll(gx, 1, axis=1)) / n + np.roll(gv, 1, axis=1) - gv
+    grads = 0.5 * (gx + _previous(gx)) / n + _previous(gv) - gv
+    return (f ** 2).sum(axis=-1) / n, grads
+
+
+def _previous(a: np.ndarray) -> np.ndarray:
+    """Each segment's value moved to the next segment, cyclically along axis 1 (np.roll by 1)."""
+    return np.concatenate([a[:, -1:], a[:, :-1]], axis=1)
 
 
 def _require_finite(x: np.ndarray) -> None:
@@ -95,7 +98,7 @@ def _require_finite(x: np.ndarray) -> None:
 
 def action_gradient(metric: FinslerMetric, loop: DiscreteLoop) -> np.ndarray:
     """Analytic gradient of the discrete action with respect to the vertices."""
-    return _gradients(metric, loop.vertices[None], loop.winding)[0]
+    return _evaluate(metric, loop.vertices[None], loop.winding)[1][0]
 
 
 def _precond_factors(n: int, kappa: float = 1.0, c: float = 0.5) -> np.ndarray:
@@ -108,6 +111,16 @@ def _precond_factors(n: int, kappa: float = 1.0, c: float = 0.5) -> np.ndarray:
     k = np.arange(n)
     lam = 2.0 * n * (2.0 - 2.0 * np.cos(2.0 * np.pi * k / n))
     return kappa * (lam + c)
+
+
+def _precondition(g: np.ndarray, symbol: np.ndarray) -> np.ndarray:
+    """Divide g, shape (S, N, 2), by the preconditioner's FFT symbol along the vertex axis.
+
+    The transforms run on contiguous rows of length N, which is about three
+    times faster than striding along axis 1 and gives the same values.
+    """
+    rows = np.ascontiguousarray(g.transpose(0, 2, 1))
+    return np.real(np.fft.ifft(np.fft.fft(rows) / symbol)).transpose(0, 2, 1)
 
 
 @dataclass
@@ -127,14 +140,16 @@ def _descend(metric: FinslerMetric, winding: tuple[int, int], config: SolverConf
     Each start keeps its own step, Armijo test, stopping test and iteration
     count, exactly as if it ran alone. A start leaves the live set when it
     converges or its line search stalls; the backtracking runs on the starts
-    whose trial step is still pending. Memory is O(S * N).
+    whose trial step is still pending. Each trial is evaluated with its
+    gradient, and the accepted trial's gradient serves the next iteration, so
+    an iteration costs about one metric kernel call. Memory is O(S * N).
     """
     x = np.array(x0, dtype=float)
     _require_finite(x)
     n_starts, n = x.shape[:2]
     kappa = comparison_constant(metric, grid_resolution=16) ** 2
-    symbol = _precond_factors(n, kappa)[:, None]
-    a = _actions(metric, x, winding)
+    symbol = _precond_factors(n, kappa)
+    a, grad = _evaluate(metric, x, winding)
     histories = [[float(ai)] for ai in a]
     step = np.full(n_starts, config.step_init)
     iterations = np.zeros(n_starts, dtype=int)
@@ -144,13 +159,13 @@ def _descend(metric: FinslerMetric, winding: tuple[int, int], config: SolverConf
         if not len(live):
             break
         iterations[live] = it
-        g = _gradients(metric, x[live], winding)
+        g = grad[live]
         done = np.abs(g).reshape(len(live), -1).max(axis=1) <= config.grad_tol
         converged[live[done]] = True
         live, g = live[~done], g[~done]
         if not len(live):
             break
-        d = np.real(np.fft.ifft(np.fft.fft(g, axis=1) / symbol, axis=1))
+        d = _precondition(g, symbol)
         slope = (g * d).reshape(len(live), -1).sum(axis=1)
         s = step[live]
         pending = np.arange(len(live))  # positions in `live` still backtracking
@@ -160,9 +175,9 @@ def _descend(metric: FinslerMetric, winding: tuple[int, int], config: SolverConf
             idx = live[pending]
             xn = x[idx] - s[pending, None, None] * d[pending]
             _require_finite(xn)
-            an = _actions(metric, xn, winding)
+            an, gn = _evaluate(metric, xn, winding)
             ok = an <= a[idx] - config.armijo * s[pending] * slope[pending]
-            x[idx[ok]], a[idx[ok]] = xn[ok], an[ok]
+            x[idx[ok]], a[idx[ok]], grad[idx[ok]] = xn[ok], an[ok], gn[ok]
             pending = pending[~ok]
             s[pending] *= config.step_shrink
         # a start still pending has stalled at numerical precision

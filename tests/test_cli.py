@@ -137,6 +137,15 @@ def test_run_non_finite_integer_exits_2(tmp_path):
     assert main(["run", cfg, "--out", str(tmp_path / "x.jsonl")]) == 2
 
 
+def test_run_unallocatable_size_exits_2(tmp_path, capsys):
+    # the starts would take 711 PiB: numpy refuses at once and allocates nothing
+    cfg = write(tmp_path, "huge.cfg", "experiment = uniqueness\nsolver.n_vertices = 1e15\n")
+    assert main(["run", cfg, "--out", str(tmp_path / "x.jsonl")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("torusgeo: error: ") and err.count("\n") == 1
+    assert "Unable to allocate" in err
+
+
 def test_run_zero_count_exits_2(tmp_path):
     cfg = write(tmp_path, "cs.cfg", "experiment = cs-property\ncount = 0\n")
     assert main(["run", cfg, "--out", str(tmp_path / "x.jsonl")]) == 2

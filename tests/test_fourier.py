@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from torusgeo.fourier import Fourier2D
+from torusgeo.fourier import FieldPass, Fourier2D, on_grid
 
 
 def rand_series(rng, n_modes=3, kmax=2, amp=1.0):
@@ -99,3 +99,47 @@ def test_mode_accumulation_commutes_with_evaluation(seed):
     f, g = rand_series(rng), rand_series(rng)
     pts = rng.random((10, 2))
     assert np.allclose((f + g)(pts), (g + f)(pts), atol=1e-14)
+
+
+# -- shared-pass evaluation -----------------------------------------------------------
+
+def _reference_eval(f, pts):
+    """Single-series evaluation: the constant, then each mode added in the series' order."""
+    out = np.full(pts.shape[:-1], f.const)
+    x, y = pts[..., 0], pts[..., 1]
+    for (kx, ky), (a, b) in f.modes.items():
+        th = 2.0 * np.pi * (kx * x + ky * y)
+        out = out + a * np.cos(th) + b * np.sin(th)
+    return out
+
+
+def _shared_series(seed):
+    rng = np.random.default_rng(seed)
+    f = rand_series(rng, n_modes=4)
+    g = Fourier2D(0.5, {(1, 0): (0.3, -0.2), (0, 1): (0.1, 0.4)})
+    # same modes as g in the opposite order: it cannot join g's pass
+    h = Fourier2D(-1.0, {(0, 1): (0.2, 0.0), (1, 0): (0.0, 0.7)})
+    return [f, f.derivative(1, 0), f.derivative(0, 1), g, h, h.derivative(0, 1),
+            Fourier2D(2.5), Fourier2D(0.0, {(0, 1): (0.0, 0.0)})]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_shared_pass_equals_call(seed):
+    series = _shared_series(seed)
+    pts = np.random.default_rng(seed).uniform(-2.0, 2.0, (7, 9, 2))
+    values = FieldPass(series)(pts[..., 0], pts[..., 1])
+    for f, val in zip(series, values):
+        ref = _reference_eval(f, pts)
+        assert np.array_equal(f(pts), ref)
+        assert np.array_equal(np.broadcast_to(val, ref.shape), ref)
+    grid = Fourier2D.grid(24)
+    for f, val in zip(series, on_grid(series, 24)):
+        assert np.array_equal(val, _reference_eval(f, grid))
+        assert np.array_equal(f.grid_values(24), val)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sup_gradient_norm_equals_separate_grids(seed):
+    for f in _shared_series(seed)[:5]:
+        ref = np.hypot(f.derivative(1, 0).grid_values(64), f.derivative(0, 1).grid_values(64))
+        assert f.sup_gradient_norm(64) == float(ref.max())

@@ -254,3 +254,93 @@ def test_homogeneity_hypothesis(a, seed):
         return
     f1, fa = evaluate(m, x, v), evaluate(m, x, a * v)
     assert abs(fa - a * f1) <= 1e-10 * max(a * abs(f1), 1e-30)
+
+
+# -- the fused kernel -------------------------------------------------------------
+
+def _reference_kernel(metric, x, v):
+    """F and the gradients of F^2 by per-field formulas, each field evaluated on its own."""
+    vx, vy = v[..., 0], v[..., 1]
+    if isinstance(metric, ConformalMetric):
+        lam = metric.factor.series(x)
+        fb, bx, bv = _reference_kernel(metric.base, x, v)
+        gv = lam[..., None] * bv
+        gx = lam[..., None] * bx
+        fb2 = fb ** 2
+        gx[..., 0] += metric.factor.series.derivative(1, 0)(x) * fb2
+        gx[..., 1] += metric.factor.series.derivative(0, 1)(x) * fb2
+        return np.sqrt(lam) * fb, gx, gv
+    if isinstance(metric, RandersMetric):
+        s, rx, rv = _reference_kernel(metric.riemannian, x, v)
+        bx, by = metric.beta_x(x), metric.beta_y(x)
+        f = s + bx * vx + by * vy
+        ratio = f / s
+        gv = np.empty_like(rv)
+        gv[..., 0] = ratio * rv[..., 0] + 2.0 * f * bx
+        gv[..., 1] = ratio * rv[..., 1] + 2.0 * f * by
+        gx = np.empty_like(rx)
+        for axis, d in ((0, (1, 0)), (1, (0, 1))):
+            dbx, dby = metric.beta_x.derivative(*d)(x), metric.beta_y.derivative(*d)(x)
+            gx[..., axis] = ratio * rx[..., axis] + 2.0 * f * (dbx * vx + dby * vy)
+        return f, gx, gv
+    a, b, c = metric.g11(x), metric.g12(x), metric.g22(x)
+    f = np.sqrt(np.maximum(a * vx ** 2 + 2.0 * b * vx * vy + c * vy ** 2, 0.0))
+    gv = np.stack([2.0 * (a * vx + b * vy), 2.0 * (b * vx + c * vy)], axis=-1)
+    gx = np.empty_like(gv)
+    for axis, d in ((0, (1, 0)), (1, (0, 1))):
+        da, db, dc = (s.derivative(*d)(x) for s in (metric.g11, metric.g12, metric.g22))
+        gx[..., axis] = da * vx ** 2 + 2.0 * db * vx * vy + dc * vy ** 2
+    return f, gx, gv
+
+
+def _kernel_metrics():
+    riemannian = [
+        RiemannianMetric(Fourier2D(1.5, {(1, 0): (0.2, 0.0)}), 0.1,
+                         Fourier2D(1.2, {(0, 1): (0.0, 0.15)})),
+        # the two diagonal fields list their shared modes in opposite orders
+        RiemannianMetric(Fourier2D(2.0, {(1, 0): (0.2, 0.1), (1, -1): (0.05, 0.0)}),
+                         Fourier2D(0.0, {(0, 1): (0.1, -0.05)}),
+                         Fourier2D(2.0, {(1, -1): (0.1, 0.1), (1, 0): (0.0, 0.2)})),
+    ]
+    randers = [RandersMetric(euclidean(), (0.3, -0.2)),
+               RandersMetric(riemannian[0], (Fourier2D(0.2, {(1, 1): (0.1, 0.0)}),
+                                             Fourier2D(0.0, {(0, 1): (0.0, 0.1)})))]
+    factor = ConformalFactor(Fourier2D(1.0, {(0, 1): (0.2, -0.1), (2, 1): (0.0, 0.1)}))
+    bases = [euclidean()] + riemannian + randers
+    return bases + [ConformalMetric(b, factor) for b in bases] \
+        + [ConformalMetric(ConformalMetric(riemannian[1], factor), factor)]
+
+
+def test_kernel_equals_speed_and_per_field_formulas():
+    rng = np.random.default_rng(3)
+    x = rng.uniform(-1.0, 2.0, (5, 16, 2))
+    v = rng.standard_normal((5, 16, 2))
+    for m in _kernel_metrics():
+        f, gx, gv = m.kernel(x, v)
+        rf, rgx, rgv = _reference_kernel(m, x, v)
+        assert np.array_equal(f, m.speed(x, v))
+        assert np.array_equal(f, rf)
+        assert np.array_equal(gx, rgx) and np.array_equal(gv, rgv)
+        sx, sv = m.speed_sq_grads(x, v)
+        assert np.array_equal(sx, gx) and np.array_equal(sv, gv)
+
+
+def test_kernel_broadcasts_points_against_vectors():
+    x = np.random.default_rng(4).random((6, 1, 2))
+    v = np.array([[[1.0, 0.0], [0.6, -0.8], [0.0, 2.0]]])
+    for m in (euclidean(), RandersMetric(euclidean(), (0.3, 0.1))):
+        f, gx, gv = m.kernel(x, v)
+        assert f.shape == (6, 3) and gx.shape == gv.shape == (6, 3, 2)
+        assert m.speed(x, v).shape == (6, 3)
+
+
+def test_randers_kernel_at_zero_vector_is_zero():
+    m = RandersMetric(euclidean(), (0.3, 0.0))
+    x = np.array([[0.2, 0.7], [0.5, 0.5]])
+    v = np.array([[0.0, 0.0], [1.0, 0.0]])
+    f, gx, gv = m.kernel(x, v)
+    assert f[0] == 0.0
+    assert np.array_equal(gx[0], [0.0, 0.0]) and np.array_equal(gv[0], [0.0, 0.0])
+    # away from v = 0 the guard changes nothing
+    assert np.array_equal(gv[1], _reference_kernel(m, x[1:], v[1:])[2][0])
+    assert np.all(np.isfinite(np.concatenate(m.speed_sq_grads(x, v))))

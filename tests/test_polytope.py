@@ -12,7 +12,7 @@ from torusgeo import (
     shrink_argmin,
     uniqueness_fraction,
 )
-from torusgeo.errors import InputDomainError
+from torusgeo.errors import InputDomainError, PerturbationFailureError
 from torusgeo.experiments import _argmin_bruteforce, random_body
 
 SQUARE = ConvexBody([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)])
@@ -165,6 +165,16 @@ def test_shrink_already_unique_first_try():
     assert res.t <= 0.5
     assert res.diameter_after == 0.0
     assert np.linalg.norm(res.functional.coefficients - f.coefficients) <= 0.5
+
+
+def test_shrink_delta_below_tolerance_resolution():
+    # t * g cannot separate (0, 0) from (0, 1) under the active-set tolerance
+    f = Functional((1.0, 0.0))
+    with pytest.raises(PerturbationFailureError, match="below what tol = 1e-09 can resolve"):
+        shrink_argmin(f, SQUARE, eps=1e-3, delta=1e-10)
+    res = shrink_argmin(f, SQUARE, eps=1e-3, delta=1e-8)
+    assert res.t == 1.0000000000000002e-8
+    assert res.diameter_after == 0.0
 
 
 def test_shrink_degenerate_segment():

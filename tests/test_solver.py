@@ -178,6 +178,18 @@ def test_batch_matches_batches_of_one():
     assert rep.n_failed == len(alone) - rep.n_converged
 
 
+def test_randers_descent_through_coincident_vertices():
+    # a zero segment has |v|_g = 0, where the Randers gradient takes its limit 0
+    m = RandersMetric(euclidean(), (0.3, 0.0))
+    v = DiscreteLoop.straight((1, 0), 32, offset=(0.0, 0.25)).vertices.copy()
+    v[5] = v[4]
+    loop = DiscreteLoop(v, (1, 0))
+    assert np.all(np.isfinite(action_gradient(m, loop)))
+    res = shortest_loop(m, (1, 0), SolverConfig(n_vertices=32, seed=0), init=loop)
+    assert res.converged
+    assert res.length == pytest.approx(1.3, rel=1e-9)
+
+
 class _SteepMetric(RiemannianMetric):
     """Euclidean speeds with the gradient scaled by `scale`: every trial step overshoots."""
 
@@ -185,9 +197,9 @@ class _SteepMetric(RiemannianMetric):
         super().__init__()
         self.scale = scale
 
-    def speed_sq_grads(self, x, v):
-        gx, gv = super().speed_sq_grads(x, v)
-        return gx * self.scale, gv * self.scale
+    def kernel(self, x, v):
+        f, gx, gv = super().kernel(x, v)
+        return f, gx * self.scale, gv * self.scale
 
 
 def test_stalled_line_search_returns_unconverged():
