@@ -54,9 +54,6 @@ class Fourier2D:
         (out,) = FieldPass((self,))(pts[..., 0], pts[..., 1])
         return np.full(pts.shape[:-1], out) if type(out) is float else out
 
-    def value(self, x: float, y: float) -> float:
-        return float(self(np.array([x, y])))
-
     def vanishes(self) -> bool:
         """True iff the series is identically zero (every coefficient is 0)."""
         return self.const == 0.0 and all(ab == (0.0, 0.0) for ab in self.modes.values())
@@ -232,9 +229,10 @@ class FieldPass:
                 steps[position[k]][1].append((i, a, b))
 
     def __call__(self, x, y) -> list:
-        """Values at the points (x, y); x and y broadcast (point coordinates or grid axes).
+        """Values at the points (x, y), given as arrays of their coordinates.
 
-        A series without live modes gives its constant as a Python float.
+        Only points: grids go through `on_axes`. A series without live modes
+        gives its constant as a Python float.
         """
         out = list(self.consts)
         for _, steps in self.passes:
@@ -253,11 +251,36 @@ class FieldPass:
         return out
 
 
-def on_grid(series, n: int) -> list[np.ndarray]:
-    """Values of several series on the n x n grid of `Fourier2D.grid`, from one pass.
+def on_axes(series, tx, ty) -> list[np.ndarray]:
+    """Values of each series on the grid tx x ty, shape (len(tx), len(ty)).
 
-    The grid is never built: each mode's phase comes from the broadcast axes.
+    With X = 2 pi kx tx and Y = 2 pi ky ty, each mode splits as
+    a cos(X+Y) + b sin(X+Y) = cos X (a cos Y + b sin Y) + sin X (b cos Y - a sin Y),
+    so a series with K live modes is one (len(tx), 2K) @ (2K, len(ty))
+    product of 1-D cos/sin tables. A series without live modes is its
+    constant, exactly.
     """
+    tx, ty = np.asarray(tx, dtype=float), np.asarray(ty, dtype=float)
+    out = []
+    for f in series:
+        live = [(k, ab) for k, ab in f.modes.items() if ab != (0.0, 0.0)]
+        if not live:
+            out.append(np.full((tx.size, ty.size), f.const))
+            continue
+        kx, ky = np.array([k for k, _ in live], dtype=float).T
+        a, b = np.array([ab for _, ab in live]).T[..., None]  # columns, one row per mode
+        x = TWO_PI * np.outer(tx, kx)
+        y = TWO_PI * np.outer(ky, ty)
+        cy, sy = np.cos(y), np.sin(y)
+        left = np.hstack([np.cos(x), np.sin(x)])
+        right = np.vstack([a * cy + b * sy, b * cy - a * sy])
+        values = left @ right
+        values += f.const
+        out.append(values)
+    return out
+
+
+def on_grid(series, n: int) -> list[np.ndarray]:
+    """Values of several series on the n x n grid of `Fourier2D.grid`; the grid is never built."""
     t = np.arange(n) / n
-    values = FieldPass(series)(t[:, None], t[None, :])
-    return [np.full((n, n), v) if type(v) is float else v for v in values]
+    return on_axes(series, t, t)

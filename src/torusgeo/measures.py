@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputDomainError, ResolutionMismatchError
-from .fourier import FieldPass
+from .fourier import on_axes
 from .loops import DiscreteLoop, LoopMeasure, action, loop_measure
 from .metrics import ConformalFactor, FinslerMetric, conformal_scale
 
@@ -69,10 +69,11 @@ def pushforward(metric: FinslerMetric, mu: LoopMeasure, resolution: int) -> Grid
 def pairing(factor: ConformalFactor, mu: GridMeasure) -> float:
     """Integral of the factor against the grid measure (cell-center quadrature).
 
-    The factor is evaluated from the grid's 1-D axes; the grid is never built.
+    The factor's values at the cell centres are one product of 1-D tables
+    on the centres' axes (`fourier.on_axes`); the grid is never built.
     """
     t = (np.arange(mu.resolution) + 0.5) / mu.resolution
-    (values,) = FieldPass((factor.series,))(t[:, None], t[None, :])
+    (values,) = on_axes((factor.series,), t, t)
     return float((values * mu.weights).sum())
 
 

@@ -29,13 +29,15 @@ class ConformalFactor:
     """A real function on T^2 as a truncated Fourier series.
 
     With ``require_positive=True`` (membership in the cone of admissible
-    conformal factors) positivity is verified on a dense grid; with the check
-    disabled the same type represents a plain smooth function.
+    conformal factors) positivity is verified on a dense grid, whose size is
+    kept as ``verified_grid``; with the check disabled the same type
+    represents a plain smooth function and ``verified_grid`` is 0.
     """
 
     def __init__(self, series, require_positive: bool = True, grid_n: int = _POSITIVITY_GRID):
         self.series = _as_series(series)
         self.positive = bool(require_positive)
+        self.verified_grid = int(grid_n) if require_positive else 0
         if require_positive:
             m = self.series.min_on_grid(grid_n)
             if m <= 0.0:
@@ -223,12 +225,17 @@ class RandersMetric(FinslerMetric):
 
 
 class ConformalMetric(FinslerMetric):
-    """sqrt(lambda(x)) * F_base(x, v) for a positive factor lambda."""
+    """sqrt(lambda(x)) * F_base(x, v) for a positive factor lambda.
+
+    Positivity is checked on the `_POSITIVITY_GRID` grid unless the factor
+    was already verified on a grid at least that fine.
+    """
 
     def __init__(self, base: FinslerMetric, factor: ConformalFactor):
         if not isinstance(factor, ConformalFactor):
             factor = ConformalFactor(factor)
-        if factor.series.min_on_grid(_POSITIVITY_GRID) <= 0.0:
+        if (factor.verified_grid < _POSITIVITY_GRID
+                and factor.series.min_on_grid(_POSITIVITY_GRID) <= 0.0):
             raise NotAConformalFactorError("conformal factor must be positive")
         self.base = base
         self.factor = factor

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from torusgeo.fourier import FieldPass, Fourier2D, on_grid
+from torusgeo.fourier import FieldPass, Fourier2D, on_axes, on_grid
 
 
 def rand_series(rng, n_modes=3, kmax=2, amp=1.0):
@@ -25,9 +25,9 @@ def test_constant_evaluation():
 def test_single_mode_value():
     # cos(2*pi*y) at y = 0 is 1, at y = 0.5 is -1
     f = Fourier2D(0.0, {(0, 1): (1.0, 0.0)})
-    assert f.value(0.3, 0.0) == pytest.approx(1.0)
-    assert f.value(0.7, 0.5) == pytest.approx(-1.0)
-    assert f.value(0.0, 0.25) == pytest.approx(0.0, abs=1e-15)
+    assert float(f(np.array([0.3, 0.0]))) == pytest.approx(1.0)
+    assert float(f(np.array([0.7, 0.5]))) == pytest.approx(-1.0)
+    assert float(f(np.array([0.0, 0.25]))) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_negative_mode_canonicalized():
@@ -113,6 +113,17 @@ def _reference_eval(f, pts):
     return out
 
 
+def _grid_tolerance(f):
+    """Rounding allowance of a grid value against `_reference_eval`.
+
+    4 eps (1 + 2 pi max|k|_1) (|c0| + sum(|a| + |b|)): the phases differ by
+    rounding of size eps 2 pi |k|_1, the sums by a few eps of the coefficients.
+    """
+    k1 = max((abs(kx) + abs(ky) for kx, ky in f.modes), default=0)
+    size = abs(f.const) + sum(abs(a) + abs(b) for a, b in f.modes.values())
+    return 4.0 * np.finfo(float).eps * (1.0 + 2.0 * np.pi * k1) * size
+
+
 def _shared_series(seed):
     rng = np.random.default_rng(seed)
     f = rand_series(rng, n_modes=4)
@@ -134,7 +145,7 @@ def test_shared_pass_equals_call(seed):
         assert np.array_equal(np.broadcast_to(val, ref.shape), ref)
     grid = Fourier2D.grid(24)
     for f, val in zip(series, on_grid(series, 24)):
-        assert np.array_equal(val, _reference_eval(f, grid))
+        assert np.all(np.abs(val - _reference_eval(f, grid)) <= _grid_tolerance(f))
         assert np.array_equal(f.grid_values(24), val)
 
 
@@ -143,3 +154,63 @@ def test_sup_gradient_norm_equals_separate_grids(seed):
     for f in _shared_series(seed)[:5]:
         ref = np.hypot(f.derivative(1, 0).grid_values(64), f.derivative(0, 1).grid_values(64))
         assert f.sup_gradient_norm(64) == float(ref.max())
+
+
+# -- separable grids ------------------------------------------------------------------
+
+def _on_points(f, tx, ty):
+    gx, gy = np.meshgrid(tx, ty, indexing="ij")
+    return _reference_eval(f, np.stack([gx, gy], axis=-1))
+
+
+def _wide_series(rng, kmax=8):
+    """Random modes with |k| up to kmax, plus modes with kx = 0, ky = 0 and negative ky."""
+    modes = {(int(rng.integers(-kmax, kmax + 1)), int(rng.integers(-kmax, kmax + 1))):
+             (rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(4)}
+    modes.pop((0, 0), None)
+    modes.update({(0, int(rng.integers(1, kmax + 1))): (rng.uniform(-1, 1), rng.uniform(-1, 1)),
+                  (int(rng.integers(1, kmax + 1)), 0): (rng.uniform(-1, 1), rng.uniform(-1, 1)),
+                  (int(rng.integers(1, kmax + 1)), -int(rng.integers(1, kmax + 1))):
+                      (rng.uniform(-1, 1), rng.uniform(-1, 1)),
+                  (kmax, -kmax): (rng.uniform(-1, 1), rng.uniform(-1, 1))})
+    return Fourier2D(rng.uniform(-2, 2), modes)
+
+
+@pytest.mark.parametrize("n", [8, 24, 512])
+def test_on_axes_matches_point_evaluation(n):
+    rng = np.random.default_rng(n)
+    series = [_wide_series(rng) for _ in range(3)]
+    series += [series[0].derivative(1, 0), series[0].derivative(0, 1),
+               Fourier2D(0.0, {(3, 0): (0.0, 0.0), (0, 5): (0.2, 0.0)})]
+    grid = np.arange(n) / n
+    centres = (np.arange(n) + 0.5) / n  # the axes of `pairing`
+    other = np.sort(rng.uniform(-1.0, 2.0, n // 2 + 1))  # no grid at all
+    for tx, ty in ((grid, grid), (centres, centres), (centres, other)):
+        values = on_axes(series, tx, ty)
+        for f, val in zip(series, values):
+            assert val.shape == (len(tx), len(ty))
+            assert np.all(np.abs(val - _on_points(f, tx, ty)) <= _grid_tolerance(f))
+    for f, val in zip(series, on_grid(series, n)):
+        assert np.array_equal(on_axes((f,), grid, grid)[0], val)
+
+
+def test_on_axes_constant_series_is_exact():
+    t = (np.arange(24) + 0.5) / 24
+    const = Fourier2D(0.1 + 0.2)
+    zero_modes = Fourier2D(-7.25, {(1, 0): (0.0, 0.0), (2, -3): (0.0, 0.0)})
+    empty = Fourier2D(0.0)
+    for f in (const, zero_modes, empty):
+        (val,) = on_axes((f,), t, t[:5])
+        assert val.dtype == float
+        assert np.array_equal(val, np.full((24, 5), f.const))
+        assert np.array_equal(on_grid((f,), 8)[0], np.full((8, 8), f.const))
+
+
+def test_on_axes_bound_holds_for_random_series():
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        f = rand_series(rng, n_modes=5, kmax=8, amp=float(rng.uniform(0.1, 10.0)))
+        n = int(rng.integers(8, 65))
+        t = np.arange(n) / n
+        (val,) = on_axes((f,), t, t)
+        assert np.all(np.abs(val - _on_points(f, t, t)) <= _grid_tolerance(f))

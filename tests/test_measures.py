@@ -130,6 +130,21 @@ def test_bump_off_support_pairs_to_zero():
     assert pairing(bump, mu) == pytest.approx(0.0, abs=1e-12)
 
 
+def test_pairing_matches_per_cell_point_evaluation():
+    # |rounding of each cell value| <= 4 eps (1 + 2 pi max|k|_1) (|c0| + sum(|a| + |b|))
+    rng = np.random.default_rng(5)
+    series = Fourier2D(1.0, {(3, -2): (0.1, 0.05), (0, 4): (-0.1, 0.2), (5, 0): (0.03, 0.0)})
+    factor = ConformalFactor(series)
+    k1, size = 5, 1.0 + 0.15 + 0.3 + 0.03
+    for res in (8, 24, 64):
+        mu = GridMeasure(rng.random((res, res)))
+        t = (np.arange(res) + 0.5) / res
+        centres = np.stack(np.meshgrid(t, t, indexing="ij"), axis=-1)
+        ref = float((factor(centres) * mu.weights).sum())
+        tol = 4.0 * np.finfo(float).eps * (1.0 + 2.0 * np.pi * k1) * size * mu.total_mass
+        assert abs(pairing(factor, mu) - ref) <= tol
+
+
 # -- action consistency ----------------------------------------------------------------
 
 def test_consistency_exact_for_constants():

@@ -183,6 +183,39 @@ def test_nonpositive_factor_rejected():
             Fourier2D(0.5, {(0, 1): (1.0, 0.0)}), require_positive=False))
 
 
+def test_unverified_factor_dipping_below_zero_still_raises():
+    # 0.05 + cos(2 pi x) is negative on a third of the torus
+    dips = ConformalFactor(Fourier2D(0.05, {(1, 0): (1.0, 0.0)}), require_positive=False)
+    assert dips.verified_grid == 0
+    with pytest.raises(NotAConformalFactorError):
+        ConformalMetric(euclidean(), dips)
+
+
+def test_coarsely_verified_factor_is_checked_again():
+    # 0.5 + cos(8 pi x) is 1.5 on the 4 x 4 grid and -0.5 between its points
+    coarse = ConformalFactor(Fourier2D(0.5, {(4, 0): (1.0, 0.0)}), grid_n=4)
+    assert coarse.verified_grid == 4
+    with pytest.raises(NotAConformalFactorError):
+        ConformalMetric(euclidean(), coarse)
+
+
+def test_verified_factor_evaluates_no_further_grid(monkeypatch):
+    from torusgeo import fourier, metrics
+    lam = ConformalFactor(Fourier2D(1.0, {(1, 1): (0.2, -0.1)}))
+    base = euclidean()  # validated on its own grid
+    calls = []
+    for module, name in ((fourier, "on_grid"), (fourier, "on_axes"), (metrics, "on_grid")):
+        def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    m = ConformalMetric(base, lam)
+    assert calls == []
+    assert m.speed(np.array([0.0, 0.0]), np.array([1.0, 0.0])) == pytest.approx(np.sqrt(1.2))
+    ConformalFactor(lam.series)  # the counter sees a positivity check
+    assert calls
+
+
 def test_conformal_composition():
     lam1 = ConformalFactor(Fourier2D(1.0, {(1, 0): (0.2, 0.0)}))
     lam2 = ConformalFactor(Fourier2D(1.5, {(0, 1): (0.0, 0.3)}))
