@@ -26,7 +26,6 @@ from .loops import (
     length,
     loop_measure,
     reparametrize_constant_speed,
-    winding_class,
 )
 from .solver import (
     MinimizerReport,

@@ -39,14 +39,17 @@ def get_float(cfg: dict, key: str, default: float | None = None) -> float:
             raise ConfigError(f"missing required key {key!r}")
         return default
     try:
-        return float(cfg[key])
+        v = float(cfg[key])
     except ValueError as e:
         raise ConfigError(f"key {key!r}: not a number: {cfg[key]!r}") from e
+    if not math.isfinite(v):
+        raise ConfigError(f"key {key!r}: expected a finite number, got {cfg[key]!r}")
+    return v
 
 
 def get_int(cfg: dict, key: str, default: int | None = None) -> int:
     v = get_float(cfg, key, default if default is None else float(default))
-    if not math.isfinite(v) or v != int(v):
+    if v != int(v):
         raise ConfigError(f"key {key!r}: expected an integer, got {v}")
     return int(v)
 
@@ -57,9 +60,12 @@ def get_floats(cfg: dict, key: str, default=None) -> list[float]:
             raise ConfigError(f"missing required key {key!r}")
         return list(default)
     try:
-        return [float(x) for x in cfg[key].split(",")]
+        vals = [float(x) for x in cfg[key].split(",")]
     except ValueError as e:
         raise ConfigError(f"key {key!r}: not a number list: {cfg[key]!r}") from e
+    if not all(math.isfinite(v) for v in vals):
+        raise ConfigError(f"key {key!r}: expected finite numbers, got {cfg[key]!r}")
+    return vals
 
 
 def get_pair(cfg: dict, key: str, default=None) -> tuple[int, int]:
@@ -81,6 +87,9 @@ def series_from_config(cfg: dict, prefix: str, default_const: float = 0.0) -> Fo
             a, b = (float(s) for s in value.split(","))
         except ValueError as e:
             raise ConfigError(f"bad Fourier mode line {key!r} = {value!r}") from e
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise ConfigError(f"Fourier mode line {key!r}: expected finite coefficients, "
+                              f"got {value!r}")
         series += Fourier2D(0.0, {(kx, ky): (a, b)})
     return series
 

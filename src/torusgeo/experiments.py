@@ -9,6 +9,7 @@ from __future__ import annotations
 import datetime
 import json
 import math
+import operator
 import os
 
 import numpy as np
@@ -137,8 +138,16 @@ def random_body(rng: np.random.Generator, n_max: int = 8, v_max: int = 40) -> Co
 
 
 def _argmin_bruteforce(f: Functional, body: ConvexBody, tol: float = 1e-9):
-    """Independent oracle: plain-Python scan over the vertex list."""
-    vals = [float(sum(c * x for c, x in zip(f.coefficients, v))) for v in body.vertices]
+    """Independent oracle: plain-Python scan over the vertex list.
+
+    The coefficients and vertices are read out with `.tolist()` as Python
+    floats, so the scan does no numpy arithmetic: each product and the
+    left-to-right sum are the same IEEE operations as on numpy scalars
+    (Python 3.11's `sum` adds floats in order), without numpy's per-scalar
+    overhead.
+    """
+    coefficients = f.coefficients.tolist()
+    vals = [sum(map(operator.mul, coefficients, v)) for v in body.vertices.tolist()]
     m = min(vals)
     active = [i for i, v in enumerate(vals) if v <= m + tol * (1.0 + abs(m))]
     return m, tuple(active)
@@ -252,7 +261,6 @@ def run_mane_polytope(cfg: dict, seed: int):
         body = random_body(rng)
         f = Functional.zero(body.dimension)
         eps = eps_rel * body.diameter
-        before = argmin_set(f, body).diameter
         try:
             res = shrink_argmin(f, body, eps, delta, seed=int(rng.integers(2 ** 31)))
         except PerturbationFailureError as e:
@@ -268,7 +276,7 @@ def run_mane_polytope(cfg: dict, seed: int):
         successes += success
         records.append({"kind": "mane-polytope", "trial": trial, "success": bool(success),
                         "dimension": body.dimension, "n_vertices": len(body.vertices),
-                        "diam_before": before, "diam_after": res.diameter_after,
+                        "diam_before": res.diameter_before, "diam_after": res.diameter_after,
                         "eps": eps, "t": res.t, "shift": shift})
     checks = {
         "all_trials_succeed": successes == trials,

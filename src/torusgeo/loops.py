@@ -30,10 +30,15 @@ MIN_VERTICES = 8
 _CLOSURE_TOL = 1e-9
 
 
+def _close(vertices: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """The N+1 lift points: the vertices and the closing point x_0 + shift."""
+    return np.vstack([vertices, vertices[0] + shift])
+
+
 class DiscreteLoop:
     """An N-vertex polygonal loop, lifted to R^2, of winding class (p, q)."""
 
-    __slots__ = ("vertices", "winding")
+    __slots__ = ("vertices", "winding", "_closed")
 
     def __init__(self, vertices, winding: tuple[int, int]):
         v = np.array(vertices, dtype=float)
@@ -46,6 +51,7 @@ class DiscreteLoop:
         v.setflags(write=False)
         self.vertices = v
         self.winding = (int(winding[0]), int(winding[1]))
+        self._closed = None
 
     @classmethod
     def from_open_lift(cls, points) -> "DiscreteLoop":
@@ -72,8 +78,16 @@ class DiscreteLoop:
 
     @property
     def closed_lift(self) -> np.ndarray:
-        """Vertices including the closing point x_N = x_0 + (p, q), shape (N+1, 2)."""
-        return np.vstack([self.vertices, self.vertices[0] + np.asarray(self.winding, float)])
+        """Vertices including the closing point x_N = x_0 + (p, q), shape (N+1, 2).
+
+        Built on first use and cached read-only, so midpoints, deltas and
+        velocities share one array.
+        """
+        if self._closed is None:
+            c = _close(self.vertices, np.asarray(self.winding, float))
+            c.setflags(write=False)
+            self._closed = c
+        return self._closed
 
     @property
     def deltas(self) -> np.ndarray:
@@ -122,11 +136,6 @@ class DiscreteLoop:
         return f"DiscreteLoop(n={self.n_vertices}, winding={self.winding})"
 
 
-def winding_class(loop: DiscreteLoop) -> tuple[int, int]:
-    """The integer pair (p, q) = x_N - x_0 of the lift."""
-    return loop.winding
-
-
 def require_nontrivial(winding: tuple[int, int]) -> tuple[int, int]:
     if winding[0] == 0 and winding[1] == 0:
         raise TrivialClassError("the trivial class (0, 0) is excluded")
@@ -155,10 +164,15 @@ def cs_gap(metric: FinslerMetric, loop: DiscreteLoop) -> float:
     return action(metric, loop) - length(metric, loop) ** 2
 
 
+def _segment_index(u: np.ndarray, n: int) -> np.ndarray:
+    """floor(u) clamped to the segments 0..n-1 (np.clip costs more than the pair)."""
+    return np.minimum(np.maximum(np.floor(u).astype(int), 0), n - 1)
+
+
 def _point_on_polygon(closed: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Evaluate the polygon at parameters u in [0, N] (vertex i at u = i)."""
     n = len(closed) - 1
-    j = np.clip(np.floor(u).astype(int), 0, n - 1)
+    j = _segment_index(u, n)
     frac = u - j
     return closed[j] + frac[:, None] * (closed[j + 1] - closed[j])
 
@@ -171,44 +185,49 @@ def reparametrize_constant_speed(metric: FinslerMetric, loop: DiscreteLoop,
     input chain); iterating the cumulative-length inversion drives the
     per-segment speeds, measured with the same midpoint quadrature that
     cs_gap uses, to a common value.
+
+    Trials are evaluated on raw arrays with DiscreteLoop's own formulas for
+    the closed lift, midpoints and deltas, so only the returned loop is built
+    as a DiscreteLoop.
     """
     closed = loop.closed_lift
     n = loop.n_vertices
     if length(metric, loop) <= 0.0:
         raise DegenerateLoopError("cannot reparametrize a zero-length loop")
     tangents = closed[1:] - closed[:-1]
-
-    def build(u):
-        verts = _point_on_polygon(closed, u)
-        return DiscreteLoop(verts, loop.winding)
+    shift = np.asarray(loop.winding, float)
 
     def evaluate(u):
-        cur = build(u)
-        ell = segment_lengths(metric, cur)
+        verts = _point_on_polygon(closed, u)
+        if not np.all(np.isfinite(verts)):
+            raise MalformedLoopError("vertices must be finite")
+        c = _close(verts, shift)
+        mids, deltas = 0.5 * (c[:-1] + c[1:]), c[1:] - c[:-1]  # DiscreteLoop's formulas
+        ell = metric.speed(mids, deltas)
         a = float((ell ** 2).sum()) * n
         total = float(ell.sum())
-        return cur, ell, total, a - total ** 2
+        return (mids, deltas), ell, total, a - total ** 2
 
     def inversion_direction(u, ell, total):
         # invert the cumulative F-length at equal targets, holding the
         # per-segment speed profile frozen
         s = np.concatenate([[0.0], np.cumsum(ell)])
         targets = np.arange(n) * total / n
-        j = np.clip(np.searchsorted(s, targets, side="right") - 1, 0, n - 1)
+        j = np.minimum(np.maximum(np.searchsorted(s, targets, side="right") - 1, 0), n - 1)
         seg = s[j + 1] - s[j]
         frac = np.where(seg > 0.0, (targets - s[j]) / np.where(seg > 0.0, seg, 1.0), 0.0)
         u_ext = np.concatenate([u, [u[0] + n]])
         return u_ext[j] + frac * (u_ext[j + 1] - u_ext[j]) - u
 
-    def newton_direction(u, cur, ell):
+    def newton_direction(u, chords, ell):
         # speed differences r_j = ell_{j+1} - ell_j have a tridiagonal
         # Jacobian in (u_1, ..., u_{n-1}); u_0 stays pinned at 0
-        gx, gv = metric.speed_sq_grads(cur.midpoints, cur.deltas)
+        gx, gv = metric.speed_sq_grads(*chords)
         inv = 0.5 / np.maximum(ell, 1e-300)
         fx, fv = gx * inv[:, None], gv * inv[:, None]
-        t_lo = tangents[np.clip(np.floor(u).astype(int), 0, n - 1)]
+        t_lo = tangents[_segment_index(u, n)]
         u_hi = np.concatenate([u[1:], [float(n)]])
-        t_hi = tangents[np.clip(np.floor(u_hi).astype(int), 0, n - 1)]
+        t_hi = tangents[_segment_index(u_hi, n)]
         d_own = ((0.5 * fx - fv) * t_lo).sum(axis=1)   # d ell_j / d u_j
         d_next = ((0.5 * fx + fv) * t_hi).sum(axis=1)  # d ell_j / d u_{j+1}
         r = ell[1:] - ell[:-1]
@@ -236,8 +255,7 @@ def reparametrize_constant_speed(metric: FinslerMetric, loop: DiscreteLoop,
         # equalize each vertex's two adjacent chord speeds by bisection on
         # its chain parameter; immune to the kinks at the chain knots where
         # the derivative-based steps can stall
-        pts = _point_on_polygon(closed, u)
-        pts = np.vstack([pts, pts[0] + np.asarray(loop.winding, float)])
+        pts = _close(_point_on_polygon(closed, u), shift)
         u_out = u.copy()
         for j in range(1, n):
             lo, hi = u_out[j - 1], u[j + 1] if j + 1 < n else float(n)
@@ -255,7 +273,7 @@ def reparametrize_constant_speed(metric: FinslerMetric, loop: DiscreteLoop,
 
     def attempt(phase):
         u = np.arange(n, dtype=float) + phase
-        cur, ell, total, gap = evaluate(u)
+        chords, ell, total, gap = evaluate(u)
         stalled_inversions = 0
         sweeps_left = 4
         for _ in range(max_iters):
@@ -264,16 +282,16 @@ def reparametrize_constant_speed(metric: FinslerMetric, loop: DiscreteLoop,
             if stalled_inversions < 2:
                 d = inversion_direction(u, ell, total)
             else:
-                d = newton_direction(u, cur, ell)
+                d = newton_direction(u, chords, ell)
                 if d is None:
                     d = inversion_direction(u, ell, total)
             t, improved = 1.0, False
             for _ in range(40):
                 u_try = u + t * d
                 if admissible(u_try):
-                    cur_try, ell_try, total_try, gap_try = evaluate(u_try)
+                    chords_try, ell_try, total_try, gap_try = evaluate(u_try)
                     if gap_try < gap:
-                        u, cur, ell, total, gap = u_try, cur_try, ell_try, total_try, gap_try
+                        u, chords, ell, total, gap = u_try, chords_try, ell_try, total_try, gap_try
                         improved = True
                         break
                 t *= 0.5
@@ -287,10 +305,10 @@ def reparametrize_constant_speed(metric: FinslerMetric, loop: DiscreteLoop,
                 u_try = repair_sweep(u)
                 if not admissible(u_try):
                     break
-                cur_try, ell_try, total_try, gap_try = evaluate(u_try)
+                chords_try, ell_try, total_try, gap_try = evaluate(u_try)
                 if gap_try >= gap:
                     break  # at numerical precision
-                u, cur, ell, total, gap = u_try, cur_try, ell_try, total_try, gap_try
+                u, chords, ell, total, gap = u_try, chords_try, ell_try, total_try, gap_try
             elif stalled_inversions < 2:
                 stalled_inversions = stalled_inversions + 1 if t < 1.0 else 0
         return u, gap, total
@@ -304,7 +322,7 @@ def reparametrize_constant_speed(metric: FinslerMetric, loop: DiscreteLoop,
             best_u, best_gap = u, gap
         if gap <= rel_tol * (gap + total ** 2):
             break
-    return build(best_u)
+    return DiscreteLoop(_point_on_polygon(closed, best_u), loop.winding)
 
 
 @dataclass(frozen=True)

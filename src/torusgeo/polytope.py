@@ -9,6 +9,7 @@ staying inside any prescribed neighborhood of f.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 from dataclasses import dataclass, field
 
@@ -17,6 +18,12 @@ import numpy as np
 from .errors import ExposureFailureError, InputDomainError, PerturbationFailureError
 
 DEFAULT_TOL = 1e-9
+
+
+def _diameter(pts: np.ndarray) -> float:
+    """Largest pairwise distance of the rows of pts."""
+    d = pts[:, None, :] - pts[None, :, :]
+    return float(np.sqrt((d ** 2).sum(axis=-1)).max())
 
 
 class ConvexBody:
@@ -35,10 +42,10 @@ class ConvexBody:
     def dimension(self) -> int:
         return self.vertices.shape[1]
 
-    @property
+    @functools.cached_property
     def diameter(self) -> float:
-        d = self.vertices[:, None, :] - self.vertices[None, :, :]
-        return float(np.sqrt((d ** 2).sum(axis=-1)).max())
+        """Largest pairwise vertex distance, computed once (the vertices are read-only)."""
+        return _diameter(self.vertices)
 
     @classmethod
     def from_csv(cls, text: str) -> "ConvexBody":
@@ -107,19 +114,20 @@ def argmin_set(f: Functional, body: ConvexBody, tol: float = DEFAULT_TOL) -> Arg
     """Minimum of f over the polytope and the vertices attaining it.
 
     The active set uses the relative tolerance tol * (1 + |m|), so it is
-    invariant under positive scaling of f together with its minimum.
+    invariant under positive scaling of f together with its minimum. When
+    every vertex is active, the diameter is the body's cached one.
     """
     if tol < 0:
         raise InputDomainError("tol must be >= 0")
     vals = f(body.vertices)
     m = float(vals.min())
     active = np.nonzero(vals <= m + tol * (1.0 + abs(m)))[0]
-    pts = body.vertices[active]
-    if len(pts) == 1:
+    if len(active) == 1:
         diam = 0.0
+    elif len(active) == len(vals):
+        diam = body.diameter
     else:
-        d = pts[:, None, :] - pts[None, :, :]
-        diam = float(np.sqrt((d ** 2).sum(axis=-1)).max())
+        diam = _diameter(body.vertices[active])
     return ArgminSet(value=m, active_indices=tuple(int(i) for i in active), diameter=diam)
 
 
@@ -223,7 +231,10 @@ def shrink_argmin(f: Functional, body: ConvexBody, eps: float, delta: float,
     if eps <= 0 or delta <= 0:
         raise InputDomainError("eps and delta must be positive")
     base = argmin_set(f, body, tol)
-    face = ConvexBody(body.vertices[list(base.active_indices)])
+    if len(base.active_indices) == len(body.vertices):
+        face = body
+    else:
+        face = ConvexBody(body.vertices[list(base.active_indices)])
     g = exposing_functional(face, eps / 2.0, seed=seed, tol=tol)
     m0 = float(g(face.vertices).min())
     tested = []
@@ -279,10 +290,6 @@ def uniqueness_fraction(body: ConvexBody, sample_count: int, eps: float,
     hits = 0
     for i in range(sample_count):
         active = body.vertices[vals[i] <= m[i] + tol * (1.0 + abs(m[i]))]
-        if len(active) == 1:
-            hits += 1
-            continue
-        d = active[:, None, :] - active[None, :, :]
-        if np.sqrt((d ** 2).sum(axis=-1)).max() <= eps:
+        if len(active) == 1 or _diameter(active) <= eps:
             hits += 1
     return hits / sample_count

@@ -1,5 +1,6 @@
 """Config parsing, metric construction from configs, and the CLI runner."""
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from torusgeo import euclidean, evaluate
 from torusgeo.cli import main
 from torusgeo.config import (
     get_float,
+    get_floats,
     get_int,
     get_pair,
     metric_from_config,
@@ -135,6 +137,31 @@ def test_run_solver_failure_exits_3(tmp_path, capsys):
 def test_run_non_finite_integer_exits_2(tmp_path):
     cfg = write(tmp_path, "big.cfg", "experiment = uniqueness\nsolver.n_vertices = 1e400\n")
     assert main(["run", cfg, "--out", str(tmp_path / "x.jsonl")]) == 2
+
+
+@pytest.mark.parametrize("text", [
+    "experiment = mane-polytope\neps_rel = inf\n",
+    "experiment = uniqueness\nsolver.grad_tol = inf\n",
+    "experiment = uniqueness\nt_values = 0.0,nan\n",
+])
+def test_run_non_finite_number_exits_2(tmp_path, capsys, text):
+    cfg = write(tmp_path, "nonfinite.cfg", text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", cfg, "--out", str(tmp_path / "x.jsonl")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("torusgeo: error: ") and err.count("\n") == 1
+    assert "finite" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+def test_getters_reject_non_finite(value):
+    with pytest.raises(ConfigError):
+        get_float({"x": value}, "x")
+    with pytest.raises(ConfigError):
+        get_floats({"x": f"1.0,{value}"}, "x")
+    with pytest.raises(ConfigError):
+        series_from_config({"f.mode_0,1": f"0.5,{value}"}, "f.")
 
 
 def test_run_unallocatable_size_exits_2(tmp_path, capsys):

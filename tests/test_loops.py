@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from torusgeo import (
     ConformalFactor,
     DiscreteLoop,
+    Fourier2D,
     RandersMetric,
     action,
     cs_gap,
@@ -13,7 +14,6 @@ from torusgeo import (
     length,
     loop_measure,
     reparametrize_constant_speed,
-    winding_class,
 )
 from torusgeo.errors import (
     DegenerateLoopError,
@@ -37,18 +37,18 @@ def two_speed_loop():
 
 def test_straight_lift_winding():
     loop = DiscreteLoop.straight((1, 0), 8)
-    assert winding_class(loop) == (1, 0)
+    assert loop.winding == (1, 0)
 
 
 def test_open_lift_winding_from_offset():
     pts = np.array([(0.3, 0.7)]) + np.arange(9)[:, None] / 8.0 * np.array([2.0, 1.0])
     loop = DiscreteLoop.from_open_lift(pts)
-    assert winding_class(loop) == (2, 1)
+    assert loop.winding == (2, 1)
 
 
 def test_constant_loop_is_trivial_and_rejected_downstream():
     loop = DiscreteLoop(np.full((8, 2), 0.4), (0, 0))
-    assert winding_class(loop) == (0, 0)
+    assert loop.winding == (0, 0)
     with pytest.raises(TrivialClassError):
         require_nontrivial(loop.winding)
 
@@ -85,6 +85,25 @@ def test_reversed_negates_winding():
     rev = loop.reversed()
     assert rev.winding == (-2, -1)
     assert length(euclidean(), rev) == pytest.approx(length(euclidean(), loop))
+
+
+def test_closed_lift_cached_and_read_only():
+    loop = DiscreteLoop(np.random.default_rng(1).random((10, 2)), (2, -1))
+    c = loop.closed_lift
+    assert c is loop.closed_lift
+    assert not c.flags.writeable
+    with pytest.raises(ValueError):
+        c[0, 0] = 1.0
+    assert np.array_equal(c, np.vstack([loop.vertices, loop.vertices[0] + np.array([2.0, -1.0])]))
+
+
+def test_midpoints_deltas_velocities_equal_formulas():
+    loop = DiscreteLoop(np.random.default_rng(2).random((12, 2)) * 3.0 - 1.0, (-1, 3))
+    v = loop.vertices
+    c = np.vstack([v, v[0] + np.array([-1.0, 3.0])])
+    assert np.array_equal(loop.deltas, c[1:] - c[:-1])
+    assert np.array_equal(loop.midpoints, 0.5 * (c[:-1] + c[1:]))
+    assert np.array_equal(loop.velocities, 12 * (c[1:] - c[:-1]))
 
 
 # -- length -------------------------------------------------------------------
@@ -209,6 +228,40 @@ def test_reparametrize_equalizes_speeds():
     out = reparametrize_constant_speed(euclidean(), loop)
     ell = segment_lengths(euclidean(), out)
     assert ell.std() / ell.mean() <= 1e-3
+
+
+def test_reparametrize_builds_only_the_returned_loop(monkeypatch):
+    from torusgeo.experiments import random_loop
+    rng = np.random.default_rng(13)  # some of these loops need Newton steps
+    loops = [random_loop(rng) for _ in range(8)]
+    bump = ConformalFactor(Fourier2D(1.0, {(1, 0): (0.2, 0.0), (0, 1): (0.0, 0.15)}))
+    metrics = [euclidean(), RandersMetric(euclidean(), (0.3, 0.1)),
+               conformal_scale(euclidean(), bump)]
+    built = []
+    real_init = DiscreteLoop.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(1)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(DiscreteLoop, "__init__", counted_init)
+    for loop in loops:
+        for metric in metrics:
+            before = len(built)
+            out = reparametrize_constant_speed(metric, loop)
+            assert len(built) == before + 1
+            assert out.winding == loop.winding
+
+
+def test_reparametrize_non_finite_trial_raises():
+    # chords between x = +-1e308 overflow, so the first trial's points are
+    # 0 * inf = nan
+    v = np.zeros((8, 2))
+    v[::2, 0], v[1::2, 0] = 1e308, -1e308
+    loop = DiscreteLoop(v, (1, 0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(MalformedLoopError, match="vertices must be finite"):
+            reparametrize_constant_speed(euclidean(), loop)
 
 
 # -- loop measures ------------------------------------------------------------

@@ -12,6 +12,7 @@ from torusgeo import (
     shrink_argmin,
     uniqueness_fraction,
 )
+from torusgeo import polytope
 from torusgeo.errors import InputDomainError, PerturbationFailureError
 from torusgeo.experiments import _argmin_bruteforce, random_body
 
@@ -75,6 +76,62 @@ def test_bruteforce_oracle_on_integer_polytopes():
         m, active = _argmin_bruteforce(f, body, tol=0.0)
         assert a.value == m
         assert a.active_indices == active
+
+
+def _numpy_scalar_scan(f, body, tol=1e-9):
+    """The oracle's scan as it was first written, on numpy scalars."""
+    vals = [float(sum(c * x for c, x in zip(f.coefficients, v))) for v in body.vertices]
+    m = min(vals)
+    active = [i for i, v in enumerate(vals) if v <= m + tol * (1.0 + abs(m))]
+    return m, tuple(active)
+
+
+def test_bruteforce_oracle_equals_numpy_scalar_scan():
+    rng = np.random.default_rng(11)
+    for trial in range(200):
+        body = random_body(rng)
+        size = 10.0 ** rng.uniform(-3.0, 3.0)
+        f = Functional(size * rng.standard_normal(body.dimension))
+        if trial % 2:
+            # near-ties: copies of the minimizing vertex raised by multiples of
+            # the active-set tolerance, on both sides of its threshold
+            vals = body.vertices @ f.coefficients
+            m = float(vals.min())
+            x0 = body.vertices[int(vals.argmin())]
+            step = f.coefficients / float(f.coefficients @ f.coefficients)
+            extra = [x0 + c * 1e-9 * (1.0 + abs(m)) * step for c in (0.0, 0.5, 0.999, 1.001, 1.5)]
+            body = ConvexBody(np.vstack([body.vertices, extra]))
+        m, active = _argmin_bruteforce(f, body)
+        m_ref, active_ref = _numpy_scalar_scan(f, body)
+        assert type(m) is float
+        assert m == m_ref
+        assert active == active_ref
+
+
+# -- diameters ------------------------------------------------------------------
+
+def test_all_active_argmin_returns_pairwise_diameter_computed_once(monkeypatch):
+    calls = []
+    real = polytope._diameter
+
+    def counted(pts):
+        calls.append(len(pts))
+        return real(pts)
+
+    monkeypatch.setattr(polytope, "_diameter", counted)
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        body = random_body(rng)
+        k = len(body.vertices)
+        zero = Functional.zero(body.dimension)
+        d = (body.vertices[:, None, :] - body.vertices[None, :, :])
+        assert body.diameter == float(np.sqrt((d ** 2).sum(axis=-1)).max())
+        for _ in range(3):
+            assert argmin_set(zero, body).diameter == body.diameter
+        # the whole body is f = 0's argmin face: shrink_argmin exposes inside it
+        shrink_argmin(zero, body, eps=1e-3 * body.diameter, delta=0.1)
+        assert calls.count(k) == 1
+        calls.clear()
 
 
 # -- semicontinuity -------------------------------------------------------------
