@@ -12,7 +12,6 @@ from .metrics import (
     RandersMetric,
     RiemannianMetric,
     comparison_constant,
-    conformal_scale,
     euclidean,
     evaluate,
     seminorm_distance,

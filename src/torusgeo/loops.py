@@ -192,7 +192,12 @@ def reparametrize_constant_speed(metric: FinslerMetric, loop: DiscreteLoop,
     """
     closed = loop.closed_lift
     n = loop.n_vertices
-    if length(metric, loop) <= 0.0:
+    loop_length = length(metric, loop)
+    if not np.isfinite(loop_length):
+        # nan or inf, as when chords' squares overflow: no trial's gap can beat it
+        raise MalformedLoopError("loop length is not finite: vertices must be finite "
+                                 "and their chords must not overflow")
+    if loop_length <= 0.0:
         raise DegenerateLoopError("cannot reparametrize a zero-length loop")
     tangents = closed[1:] - closed[:-1]
     shift = np.asarray(loop.winding, float)

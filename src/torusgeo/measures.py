@@ -15,7 +15,7 @@ import numpy as np
 from .errors import InputDomainError, ResolutionMismatchError
 from .fourier import on_axes
 from .loops import DiscreteLoop, LoopMeasure, action, loop_measure
-from .metrics import ConformalFactor, FinslerMetric, conformal_scale
+from .metrics import ConformalFactor, ConformalMetric, FinslerMetric
 
 
 class GridMeasure:
@@ -84,7 +84,7 @@ def action_consistency(metric: FinslerMetric, factor: ConformalFactor, loop: Dis
     Bounded by Lip(factor) * (cell diagonal / 2) * total mass: the pairing
     evaluates the factor at cell centers, the action at segment midpoints.
     """
-    scaled = conformal_scale(metric, factor)
+    scaled = ConformalMetric(metric, factor)
     a = action(scaled, loop)
     cap = float(np.linalg.norm(loop.velocities, axis=1).max()) * (1.0 + 1e-12)
     mu = loop_measure(metric, loop, cap)

@@ -49,10 +49,6 @@ class ConformalFactor:
     def constant(cls, c: float, require_positive: bool = True) -> "ConformalFactor":
         return cls(Fourier2D(c), require_positive=require_positive)
 
-    @classmethod
-    def from_modes(cls, const: float, modes: dict, require_positive: bool = True) -> "ConformalFactor":
-        return cls(Fourier2D(const, modes), require_positive=require_positive)
-
     def __call__(self, pts):
         return self.series(pts)
 
@@ -265,11 +261,6 @@ class ConformalMetric(FinslerMetric):
 
     speed = FinslerMetric.speed
     speed_sq_grads = FinslerMetric.speed_sq_grads
-
-
-def conformal_scale(metric: FinslerMetric, factor: ConformalFactor) -> ConformalMetric:
-    """Rescale a metric to sqrt(lambda) * F. Raises if lambda is not positive."""
-    return ConformalMetric(metric, factor)
 
 
 def evaluate(metric: FinslerMetric, x, v) -> float | np.ndarray:

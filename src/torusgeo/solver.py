@@ -198,18 +198,17 @@ def _descend(metric: FinslerMetric, winding: tuple[int, int], config: SolverConf
 
 
 def shortest_loop(metric: FinslerMetric, winding: tuple[int, int], config: SolverConfig,
-                  init: DiscreteLoop | str = "straight") -> SolveResult:
+                  init: DiscreteLoop | None = None) -> SolveResult:
     """Minimize the discrete action over vertex positions at fixed winding.
 
     The returned loop is reparametrized to constant F-speed; its action never
-    exceeds that of the initial loop. Non-convergence within max_iters returns
-    the best iterate flagged `converged=False`.
+    exceeds that of the initial loop, which is `init` or, when None, a jittered
+    straight loop drawn from config.seed. Non-convergence within max_iters
+    returns the best iterate flagged `converged=False`.
     """
     require_nontrivial(winding)
     rng = np.random.default_rng(config.seed)
-    if isinstance(init, str):
-        if init != "straight":
-            raise InputDomainError(f"unknown init {init!r}")
+    if init is None:
         base = DiscreteLoop.straight(winding, config.n_vertices, offset=rng.random(2))
         verts = base.vertices + rng.uniform(-config.jitter, config.jitter,
                                             size=base.vertices.shape)
@@ -353,13 +352,3 @@ def minimizer_set(metric: FinslerMetric, winding: tuple[int, int],
     return MinimizerReport(clusters=tuple(clusters), spread=spread,
                            best_length=best, n_converged=len(results),
                            n_failed=len(solved) - len(results))
-
-
-def refine(loop: DiscreteLoop) -> DiscreteLoop:
-    """Double the vertex count by inserting segment midpoints (for restart)."""
-    c = loop.closed_lift
-    mids = 0.5 * (c[:-1] + c[1:])
-    verts = np.empty((2 * loop.n_vertices, 2))
-    verts[0::2] = loop.vertices
-    verts[1::2] = mids
-    return DiscreteLoop(verts, loop.winding)

@@ -223,12 +223,38 @@ def test_plot_data_empty_report_headers_only(tmp_path):
         assert len(lines) == 1
 
 
+def test_cs_property_evaluates_each_loop_once(monkeypatch):
+    from torusgeo import experiments, metrics
+    calls, inside = [], []
+    real_reparam = experiments.reparametrize_constant_speed
+
+    def reparam(*args, **kwargs):
+        inside.append(True)
+        try:
+            return real_reparam(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(experiments, "reparametrize_constant_speed", reparam)
+    for cls in (metrics.RiemannianMetric, metrics.RandersMetric, metrics.ConformalMetric):
+        def speed(self, x, v, _real=cls.speed):
+            if not inside:
+                calls.append(1)
+            return _real(self, x, v)
+        monkeypatch.setattr(cls, "speed", speed)
+    records, checks = experiments.run_cs_property({"count": 3}, 0)
+    assert all(checks.values())
+    # per loop, outside the reparametrization: the input loop's action and
+    # length (its cs_gap), then the reparametrized loop's action and length
+    assert len(calls) == 3 * 4
+
+
 def test_reports_reproducible_modulo_timestamp(tmp_path):
     cfg = write(tmp_path, "cs.cfg", "experiment = cs-property\ncount = 50\nseed = 7\n")
-    a, b = str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl")
-    assert main(["run", cfg, "--out", a]) == 0
-    assert main(["run", cfg, "--out", b]) == 0
-    la = open(a, "rb").read().splitlines()
-    lb = open(b, "rb").read().splitlines()
+    a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    assert main(["run", cfg, "--out", str(a)]) == 0
+    assert main(["run", cfg, "--out", str(b)]) == 0
+    la = a.read_bytes().splitlines()
+    lb = b.read_bytes().splitlines()
     assert la[1:] == lb[1:]
     assert la[0] != lb[0] or la[0] == lb[0]  # timestamp line may differ

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from torusgeo import (
     ConformalFactor,
+    ConformalMetric,
     DiscreteLoop,
     Fourier2D,
     RandersMetric,
@@ -22,7 +23,6 @@ from torusgeo.errors import (
     TrivialClassError,
 )
 from torusgeo.loops import require_nontrivial, segment_lengths
-from torusgeo.metrics import conformal_scale
 
 
 def two_speed_loop():
@@ -134,7 +134,7 @@ def test_length_cyclic_shift_invariant():
 
 def test_constant_conformal_scales_length_exactly():
     kappa = 2.25
-    m = conformal_scale(euclidean(), ConformalFactor.constant(kappa))
+    m = ConformalMetric(euclidean(), ConformalFactor.constant(kappa))
     rng = np.random.default_rng(2)
     loop = DiscreteLoop(DiscreteLoop.straight((2, 1), 12).vertices
                         + 0.05 * rng.standard_normal((12, 2)), (2, 1))
@@ -236,7 +236,7 @@ def test_reparametrize_builds_only_the_returned_loop(monkeypatch):
     loops = [random_loop(rng) for _ in range(8)]
     bump = ConformalFactor(Fourier2D(1.0, {(1, 0): (0.2, 0.0), (0, 1): (0.0, 0.15)}))
     metrics = [euclidean(), RandersMetric(euclidean(), (0.3, 0.1)),
-               conformal_scale(euclidean(), bump)]
+               ConformalMetric(euclidean(), bump)]
     built = []
     real_init = DiscreteLoop.__init__
 
@@ -261,6 +261,17 @@ def test_reparametrize_non_finite_trial_raises():
     loop = DiscreteLoop(v, (1, 0))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(MalformedLoopError, match="vertices must be finite"):
+            reparametrize_constant_speed(euclidean(), loop)
+
+
+def test_reparametrize_infinite_length_raises():
+    # the vertices and chords are finite, but the chords' squares overflow
+    v = np.zeros((8, 2))
+    v[:, 0] = np.arange(8) * 1e307
+    loop = DiscreteLoop(v, (1, 0))
+    with np.errstate(over="ignore"):
+        assert length(euclidean(), loop) == np.inf
+        with pytest.raises(MalformedLoopError, match="length is not finite"):
             reparametrize_constant_speed(euclidean(), loop)
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from torusgeo import (
     ConformalFactor,
+    ConformalMetric,
     DiscreteLoop,
     GridMeasure,
     action,
@@ -16,7 +17,6 @@ from torusgeo import (
 )
 from torusgeo.errors import InputDomainError, ResolutionMismatchError
 from torusgeo.fourier import Fourier2D
-from torusgeo.metrics import conformal_scale
 
 
 def measure_of(loop, metric=None):
@@ -209,7 +209,7 @@ def test_minimizer_transfer_inequality():
     # the pool loop minimizing the rescaled action also minimizes the pairing
     from torusgeo.experiments import height_bump
     factor = height_bump(0.3)
-    scaled = conformal_scale(euclidean(), factor)
+    scaled = ConformalMetric(euclidean(), factor)
     pool = [DiscreteLoop.straight((1, 0), 64, offset=(0.0, y))
             for y in (0.25, 0.1, 0.5, 0.8)]
     actions = [action(scaled, c) for c in pool]

@@ -9,7 +9,6 @@ from torusgeo import (
     RandersMetric,
     RiemannianMetric,
     comparison_constant,
-    conformal_scale,
     euclidean,
     evaluate,
     seminorm_distance,
@@ -126,7 +125,7 @@ def test_comparison_constant_euclidean():
 
 
 def test_comparison_constant_doubled_metric():
-    m = conformal_scale(euclidean(), ConformalFactor.constant(4.0))
+    m = ConformalMetric(euclidean(), ConformalFactor.constant(4.0))
     c = comparison_constant(m)
     assert 2.0 <= c <= 2.022
 
@@ -163,15 +162,15 @@ def test_conformal_identity_and_quadrupling():
     base = euclidean()
     rng = np.random.default_rng(13)
     x, v = rng.random((50, 2)), rng.standard_normal((50, 2))
-    one = conformal_scale(base, ConformalFactor.constant(1.0))
-    four = conformal_scale(base, ConformalFactor.constant(4.0))
+    one = ConformalMetric(base, ConformalFactor.constant(1.0))
+    four = ConformalMetric(base, ConformalFactor.constant(4.0))
     assert np.allclose(one.speed(x, v), base.speed(x, v), atol=1e-15)
     assert np.allclose(four.speed(x, v), 2.0 * base.speed(x, v), atol=1e-14)
 
 
 def test_conformal_pointwise_value():
     lam = ConformalFactor(Fourier2D(1.0, {(0, 1): (0.2, 0.0)}))
-    m = conformal_scale(euclidean(), lam)
+    m = ConformalMetric(euclidean(), lam)
     assert evaluate(m, (0.0, 0.0), (1.0, 0.0)) == pytest.approx(np.sqrt(1.2))
 
 
@@ -179,7 +178,7 @@ def test_nonpositive_factor_rejected():
     with pytest.raises(NotAConformalFactorError):
         ConformalFactor(Fourier2D(0.5, {(0, 1): (1.0, 0.0)}))
     with pytest.raises(NotAConformalFactorError):
-        conformal_scale(euclidean(), ConformalFactor(
+        ConformalMetric(euclidean(), ConformalFactor(
             Fourier2D(0.5, {(0, 1): (1.0, 0.0)}), require_positive=False))
 
 
@@ -219,15 +218,15 @@ def test_verified_factor_evaluates_no_further_grid(monkeypatch):
 def test_conformal_composition():
     lam1 = ConformalFactor(Fourier2D(1.0, {(1, 0): (0.2, 0.0)}))
     lam2 = ConformalFactor(Fourier2D(1.5, {(0, 1): (0.0, 0.3)}))
-    a = conformal_scale(conformal_scale(euclidean(), lam1), lam2)
-    b = conformal_scale(euclidean(), lam1 * lam2)
+    a = ConformalMetric(ConformalMetric(euclidean(), lam1), lam2)
+    b = ConformalMetric(euclidean(), lam1 * lam2)
     rng = np.random.default_rng(17)
     x, v = rng.random((100, 2)), rng.standard_normal((100, 2))
     assert np.allclose(a.speed(x, v), b.speed(x, v), atol=1e-12)
 
 
 def test_scaled_metric_keeps_invariants():
-    m = conformal_scale(euclidean(), ConformalFactor(
+    m = ConformalMetric(euclidean(), ConformalFactor(
         Fourier2D(1.0, {(1, 1): (0.15, 0.1)})))
     assert verify_convexity(m, sample_count=128, seed=3).passed
     f1 = evaluate(m, (0.2, 0.8), (0.0, 1.0))
