@@ -94,11 +94,6 @@ def series_from_config(cfg: dict, prefix: str, default_const: float = 0.0) -> Fo
     return series
 
 
-def factor_from_config(cfg: dict, prefix: str, require_positive: bool = True) -> ConformalFactor:
-    return ConformalFactor(series_from_config(cfg, prefix, default_const=1.0),
-                           require_positive=require_positive)
-
-
 def metric_from_config(cfg: dict, prefix: str = "metric.") -> FinslerMetric:
     """Build a metric from config keys under `prefix`.
 
@@ -130,6 +125,6 @@ def metric_from_config(cfg: dict, prefix: str = "metric.") -> FinslerMetric:
         return RandersMetric(base, beta)
     if variant == "conformal":
         base = metric_from_config(cfg, prefix + "base.")
-        factor = factor_from_config(cfg, prefix + "lambda.")
+        factor = ConformalFactor(series_from_config(cfg, prefix + "lambda.", default_const=1.0))
         return ConformalMetric(base, factor)
     raise ConfigError(f"unknown metric variant {variant!r}")

@@ -21,6 +21,7 @@ from .loops import DiscreteLoop, action, cs_gap, length, loop_measure, reparamet
 from .measures import action_consistency, pushforward
 from .metrics import ConformalFactor, ConformalMetric, RandersMetric, euclidean
 from .polytope import (
+    DEFAULT_TOL,
     ConvexBody,
     Functional,
     argmin_set,
@@ -121,9 +122,13 @@ def random_loop(rng: np.random.Generator, n_min: int = 8, n_max: int = 48,
     return DiscreteLoop(verts, (p, q))
 
 
-def random_body(rng: np.random.Generator, n_max: int = 8, v_max: int = 40) -> ConvexBody:
-    n = int(rng.integers(2, n_max + 1))
-    k = int(rng.integers(n + 1, v_max + 1))
+_BODY_DIM_MAX = 8
+_BODY_VERTICES_MAX = 40
+
+
+def random_body(rng: np.random.Generator) -> ConvexBody:
+    n = int(rng.integers(2, _BODY_DIM_MAX + 1))
+    k = int(rng.integers(n + 1, _BODY_VERTICES_MAX + 1))
     return ConvexBody(rng.standard_normal((k, n)))
 
 
@@ -320,7 +325,7 @@ def run_semicontinuity(cfg: dict, seed: int):
     rng = np.random.default_rng(seed)
     scales = [2.0 ** (-k) for k in range(k_lo, k_hi + 1)]
     records = []
-    monotone_ok = diam_ok = True
+    monotone_ok = lipschitz_ok = diam_ok = True
     for trial in range(trials):
         body = random_body(rng)
         f = Functional(_unit(rng, body.dimension))
@@ -328,9 +333,16 @@ def run_semicontinuity(cfg: dict, seed: int):
         rep = semicontinuity_probe(f, body, [p], scales, tail_start=tail_k - k_lo)
         errs = rep.value_errors
         scale = 1.0 + abs(rep.base_value)
-        tail = errs[tail_k - k_lo:]
+        p_vals = p(body.vertices)
+        # m(f + s p) is concave and piecewise linear in s: its error need not
+        # shrink past a breakpoint, but below s* it is linear on f's argmin face
+        s_star = _certified_scale(f(body.vertices), p_vals, rep.base_value)
+        tail = [e for e, s in zip(errs[tail_k - k_lo:], scales[tail_k - k_lo:]) if s < s_star]
         if any(e2 > e1 + 1e-12 * scale for e1, e2 in zip(tail, tail[1:])):
             monotone_ok = False
+        rate = float(np.abs(p_vals).max())
+        if any(e > s * rate + 1e-12 * scale for e, s in zip(errs, scales)):
+            lipschitz_ok = False
         if any(d > rep.base_diameter + 1e-9 for d in rep.diameters[tail_k - k_lo:]):
             diam_ok = False
         records.append({"kind": "semicontinuity", "trial": trial,
@@ -338,8 +350,23 @@ def run_semicontinuity(cfg: dict, seed: int):
                         "base_diameter": rep.base_diameter,
                         "max_tail_diameter": max(rep.diameters[tail_k - k_lo:])})
     checks = {"value_errors_tail_monotone": monotone_ok,
+              "value_errors_lipschitz": lipschitz_ok,
               "diameter_upper_semicontinuous": diam_ok}
     return records, checks
+
+
+def _certified_scale(f_vals: np.ndarray, p_vals: np.ndarray, m: float) -> float:
+    """The scale s* below which f + s p attains its minimum on f's argmin face.
+
+    A vertex off the face lies above m by at least its gap, and s p moves two
+    vertices apart by at most s (max p - min p); s* is the smallest gap over
+    that spread, infinite when no vertex is off the face or p is constant.
+    """
+    gaps = f_vals[f_vals > m + DEFAULT_TOL * (1.0 + abs(m))] - m
+    spread = float(p_vals.max() - p_vals.min())
+    if not len(gaps) or spread == 0.0:
+        return math.inf
+    return float(gaps.min()) / spread
 
 
 def _unit(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -11,8 +11,6 @@ is exactly the variance of the per-segment speeds (discrete Cauchy-Schwarz).
 """
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +26,8 @@ from .metrics import FinslerMetric
 
 MIN_VERTICES = 8
 _CLOSURE_TOL = 1e-9
+_REPARAM_REL_TOL = 1e-6  # target gap of a reparametrization, relative to its action
+_REPARAM_MAX_ITERS = 300
 
 
 def _close(vertices: np.ndarray, shift: np.ndarray) -> np.ndarray:
@@ -115,23 +115,6 @@ class DiscreteLoop:
         verts = np.vstack([self.vertices[k:], self.vertices[:k] + np.asarray(self.winding, float)])
         return DiscreteLoop(verts, self.winding)
 
-    # -- serialization ------------------------------------------------------
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow([self.n_vertices, self.winding[0], self.winding[1]])
-        for x, y in self.vertices:
-            w.writerow([repr(float(x)), repr(float(y))])
-        return buf.getvalue()
-
-    @classmethod
-    def from_csv(cls, text: str) -> "DiscreteLoop":
-        rows = list(csv.reader(io.StringIO(text)))
-        n, p, q = (int(v) for v in rows[0])
-        verts = np.array([[float(a), float(b)] for a, b in rows[1:1 + n]])
-        return cls(verts, (p, q))
-
     def __repr__(self):
         return f"DiscreteLoop(n={self.n_vertices}, winding={self.winding})"
 
@@ -177,14 +160,15 @@ def _point_on_polygon(closed: np.ndarray, u: np.ndarray) -> np.ndarray:
     return closed[j] + frac[:, None] * (closed[j + 1] - closed[j])
 
 
-def reparametrize_constant_speed(metric: FinslerMetric, loop: DiscreteLoop,
-                                 rel_tol: float = 1e-6, max_iters: int = 300) -> DiscreteLoop:
+def reparametrize_constant_speed(metric: FinslerMetric, loop: DiscreteLoop) -> DiscreteLoop:
     """Resample the loop at equal increments of F-arc-length.
 
     Vertices stay on the original polygon (the parameters u_j live on the
     input chain); iterating the cumulative-length inversion drives the
     per-segment speeds, measured with the same midpoint quadrature that
-    cs_gap uses, to a common value.
+    cs_gap uses, to a common value: until the gap is at most
+    `_REPARAM_REL_TOL` of the action, in at most `_REPARAM_MAX_ITERS` steps
+    from each sampling phase.
 
     Trials are evaluated on raw arrays with DiscreteLoop's own formulas for
     the closed lift, midpoints and deltas, so only the returned loop is built
@@ -281,8 +265,8 @@ def reparametrize_constant_speed(metric: FinslerMetric, loop: DiscreteLoop,
         chords, ell, total, gap = evaluate(u)
         stalled_inversions = 0
         sweeps_left = 4
-        for _ in range(max_iters):
-            if gap <= rel_tol * (gap + total ** 2):
+        for _ in range(_REPARAM_MAX_ITERS):
+            if gap <= _REPARAM_REL_TOL * (gap + total ** 2):
                 break
             if stalled_inversions < 2:
                 d = inversion_direction(u, ell, total)
@@ -325,7 +309,7 @@ def reparametrize_constant_speed(metric: FinslerMetric, loop: DiscreteLoop,
         u, gap, total = attempt(phase)
         if gap < best_gap:
             best_u, best_gap = u, gap
-        if gap <= rel_tol * (gap + total ** 2):
+        if gap <= _REPARAM_REL_TOL * (gap + total ** 2):
             break
     return DiscreteLoop(_point_on_polygon(closed, best_u), loop.winding)
 

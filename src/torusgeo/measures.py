@@ -38,19 +38,6 @@ class GridMeasure:
     def total_mass(self) -> float:
         return float(self.weights.sum())
 
-    def to_csv(self) -> str:
-        lines = [f"{self.resolution},{self.total_mass!r}"]
-        for row in self.weights:
-            lines.append(",".join(repr(float(x)) for x in row))
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_csv(cls, text: str) -> "GridMeasure":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        m = int(lines[0].split(",")[0])
-        rows = [[float(x) for x in ln.split(",")] for ln in lines[1:1 + m]]
-        return cls(rows)
-
     def __repr__(self):
         return f"GridMeasure(resolution={self.resolution}, total_mass={self.total_mass:g})"
 

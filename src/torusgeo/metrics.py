@@ -17,6 +17,10 @@ from .fourier import FieldPass, Fourier2D, on_grid
 
 _VALIDATION_GRID = 64
 _POSITIVITY_GRID = 128
+_SEMINORM_GRID = 64
+_HESSIAN_STEP = 1e-4  # finite-difference step of `fiber_hessian`, relative to |v|
+_CONVEXITY_TOL = 1e-6
+_COMPARISON_INFLATION = 1.01
 
 
 def _as_series(c) -> Fourier2D:
@@ -29,25 +33,24 @@ class ConformalFactor:
     """A real function on T^2 as a truncated Fourier series.
 
     With ``require_positive=True`` (membership in the cone of admissible
-    conformal factors) positivity is verified on a dense grid, whose size is
-    kept as ``verified_grid``; with the check disabled the same type
-    represents a plain smooth function and ``verified_grid`` is 0.
+    conformal factors) positivity is verified on the `_POSITIVITY_GRID` grid
+    and ``positive`` is True; with the check disabled the same type
+    represents a plain smooth function and ``positive`` is False.
     """
 
-    def __init__(self, series, require_positive: bool = True, grid_n: int = _POSITIVITY_GRID):
+    def __init__(self, series, require_positive: bool = True):
         self.series = _as_series(series)
         self.positive = bool(require_positive)
-        self.verified_grid = int(grid_n) if require_positive else 0
         if require_positive:
-            m = self.series.min_on_grid(grid_n)
+            m = self.series.min_on_grid(_POSITIVITY_GRID)
             if m <= 0.0:
                 raise NotAConformalFactorError(
                     f"factor is not positive on the verification grid (min = {m:g})"
                 )
 
     @classmethod
-    def constant(cls, c: float, require_positive: bool = True) -> "ConformalFactor":
-        return cls(Fourier2D(c), require_positive=require_positive)
+    def constant(cls, c: float) -> "ConformalFactor":
+        return cls(Fourier2D(c))
 
     def __call__(self, pts):
         return self.series(pts)
@@ -125,7 +128,7 @@ def _widen(a, shape):
 class RiemannianMetric(FinslerMetric):
     """F(x, v) = sqrt(v^T g(x) v) with a symmetric coefficient field g."""
 
-    def __init__(self, g11=1.0, g12=0.0, g22=1.0, validate: bool = True):
+    def __init__(self, g11=1.0, g12=0.0, g22=1.0):
         self.g11, self.g12, self.g22 = (_as_series(g11), _as_series(g12), _as_series(g22))
         g = (self.g11, self.g12, self.g22)
         # d/dx of (g11, g12, g22), then d/dy
@@ -133,10 +136,9 @@ class RiemannianMetric(FinslerMetric):
         self._dg_live = tuple(not all(s.vanishes() for s in self._dg[3 * i:3 * i + 3])
                               for i in (0, 1))
         self._build_passes()
-        if validate:
-            a, b, c = on_grid(g, _VALIDATION_GRID)
-            if a.min() <= 0.0 or (a * c - b * b).min() <= 0.0:
-                raise InvalidMetricError("Riemannian coefficient field is not positive definite")
+        a, b, c = on_grid(g, _VALIDATION_GRID)
+        if a.min() <= 0.0 or (a * c - b * b).min() <= 0.0:
+            raise InvalidMetricError("Riemannian coefficient field is not positive definite")
 
     def _fields(self, grads):
         return (self.g11, self.g12, self.g22) + (self._dg if grads else ())
@@ -224,14 +226,13 @@ class ConformalMetric(FinslerMetric):
     """sqrt(lambda(x)) * F_base(x, v) for a positive factor lambda.
 
     Positivity is checked on the `_POSITIVITY_GRID` grid unless the factor
-    was already verified on a grid at least that fine.
+    was already verified there (``factor.positive``).
     """
 
     def __init__(self, base: FinslerMetric, factor: ConformalFactor):
         if not isinstance(factor, ConformalFactor):
             factor = ConformalFactor(factor)
-        if (factor.verified_grid < _POSITIVITY_GRID
-                and factor.series.min_on_grid(_POSITIVITY_GRID) <= 0.0):
+        if not factor.positive and factor.series.min_on_grid(_POSITIVITY_GRID) <= 0.0:
             raise NotAConformalFactorError("conformal factor must be positive")
         self.base = base
         self.factor = factor
@@ -287,10 +288,10 @@ class ConvexityReport:
                 f"passed={self.passed})")
 
 
-def fiber_hessian(metric: FinslerMetric, x, v, h: float = 1e-4) -> np.ndarray:
+def fiber_hessian(metric: FinslerMetric, x, v) -> np.ndarray:
     """Central finite-difference Hessian of v -> F^2(x, v), shape (..., 2, 2)."""
     x, v = np.asarray(x, float), np.asarray(v, float)
-    h = h * np.linalg.norm(v, axis=-1, keepdims=True)
+    h = _HESSIAN_STEP * np.linalg.norm(v, axis=-1, keepdims=True)
 
     def f2(dv):
         return metric.speed(x, v + dv) ** 2
@@ -310,9 +311,12 @@ def fiber_hessian(metric: FinslerMetric, x, v, h: float = 1e-4) -> np.ndarray:
     return out
 
 
-def verify_convexity(metric: FinslerMetric, sample_count: int = 256, seed: int = 0,
-                     tolerance: float = 1e-6) -> ConvexityReport:
-    """Sample random (x, v) with |v| = 1 and report the minimum Hessian eigenvalue."""
+def verify_convexity(metric: FinslerMetric, sample_count: int = 256,
+                     seed: int = 0) -> ConvexityReport:
+    """Sample random (x, v) with |v| = 1 and report the minimum Hessian eigenvalue.
+
+    The check passes when that eigenvalue exceeds `_CONVEXITY_TOL`.
+    """
     if sample_count < 1:
         raise InputDomainError("sample_count must be >= 1")
     rng = np.random.default_rng(seed)
@@ -324,12 +328,11 @@ def verify_convexity(metric: FinslerMetric, sample_count: int = 256, seed: int =
     disc = np.sqrt((hess[:, 0, 0] - hess[:, 1, 1]) ** 2 + 4.0 * hess[:, 0, 1] ** 2)
     lam_min = 0.5 * (tr - disc)
     i = int(np.argmin(lam_min))
-    return ConvexityReport(lam_min[i], x[i], v[i], tolerance)
+    return ConvexityReport(lam_min[i], x[i], v[i], _CONVEXITY_TOL)
 
 
-def comparison_constant(metric: FinslerMetric, grid_resolution: int = 32,
-                        safety: float = 1.01) -> float:
-    """Smallest sampled c >= 1 with F/c <= |.| <= c*F, inflated by `safety`.
+def comparison_constant(metric: FinslerMetric, grid_resolution: int = 32) -> float:
+    """Smallest sampled c >= 1 with F/c <= |.| <= c*F, inflated by `_COMPARISON_INFLATION`.
 
     The sampled sup underestimates the true sup; the inflated constant only
     needs to be valid, not tight.
@@ -343,14 +346,13 @@ def comparison_constant(metric: FinslerMetric, grid_resolution: int = 32,
     if f.min() < 1e-9:
         raise InvalidMetricError("metric is degenerate: F vanishes on a unit vector")
     c = max(float(f.max()), float(1.0 / f.min()), 1.0)
-    return c * safety
+    return c * _COMPARISON_INFLATION
 
 
-def seminorm_distance(f: ConformalFactor, g: ConformalFactor, k_max: int = 8,
-                      grid_n: int = 64) -> float:
+def seminorm_distance(f: ConformalFactor, g: ConformalFactor, k_max: int = 8) -> float:
     """The translation-invariant metric sum_k 2^-k |f-g|_k / (1 + |f-g|_k).
 
-    |.|_k is the C^k norm: the max over a dense grid of all partial
+    |.|_k is the C^k norm: the max over the `_SEMINORM_GRID` grid of all partial
     derivatives of total order <= k, each derivative exact from the Fourier
     coefficients. k_max = 8 leaves a truncation tail below 0.004.
     """
@@ -360,7 +362,7 @@ def seminorm_distance(f: ConformalFactor, g: ConformalFactor, k_max: int = 8,
     total = 0.0
     norm_k = 0.0
     for k in range(k_max + 1):
-        parts = on_grid([d.derivative(i, k - i) for i in range(k + 1)], grid_n)
+        parts = on_grid([d.derivative(i, k - i) for i in range(k + 1)], _SEMINORM_GRID)
         level = max(float(np.abs(p).max()) for p in parts)
         norm_k = max(norm_k, level)
         total += 2.0 ** (-k) * norm_k / (1.0 + norm_k)

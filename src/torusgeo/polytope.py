@@ -8,9 +8,7 @@ staying inside any prescribed neighborhood of f.
 """
 from __future__ import annotations
 
-import csv
 import functools
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,6 +16,8 @@ import numpy as np
 from .errors import ExposureFailureError, InputDomainError, PerturbationFailureError
 
 DEFAULT_TOL = 1e-9
+_EXPOSING_DRAWS = 64
+_HALVINGS = 60
 
 
 def _diameter(pts: np.ndarray) -> float:
@@ -46,18 +46,6 @@ class ConvexBody:
     def diameter(self) -> float:
         """Largest pairwise vertex distance, computed once (the vertices are read-only)."""
         return _diameter(self.vertices)
-
-    @classmethod
-    def from_csv(cls, text: str) -> "ConvexBody":
-        rows = [r for r in csv.reader(io.StringIO(text)) if r]
-        return cls([[float(x) for x in r] for r in rows])
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        for row in self.vertices:
-            w.writerow([repr(float(x)) for x in row])
-        return buf.getvalue()
 
     def __repr__(self):
         return f"ConvexBody({len(self.vertices)} vertices in R^{self.dimension})"
@@ -93,11 +81,6 @@ class Functional:
     @classmethod
     def zero(cls, n: int) -> "Functional":
         return cls(np.zeros(n))
-
-    @classmethod
-    def from_csv(cls, text: str) -> "Functional":
-        row = next(r for r in csv.reader(io.StringIO(text)) if r)
-        return cls([float(x) for x in row])
 
     def __repr__(self):
         return f"Functional({self.coefficients!r})"
@@ -147,12 +130,13 @@ class ProbeReport:
 
 
 def semicontinuity_probe(f: Functional, body: ConvexBody, perturbations, scales,
-                         tol: float = DEFAULT_TOL, tail_start: int | None = None) -> ProbeReport:
+                         tail_start: int | None = None) -> ProbeReport:
     """Evaluate m and the argmin diameter along f + scale_n * perturbation_n.
 
     Checks the two stability facts that make the uniqueness sets open: the
     minimum value converges (|m(f_n) - m(f)| -> 0) and the argmin diameter is
-    upper semicontinuous (diam M(f_n) <= diam M(f) + tol for small scales).
+    upper semicontinuous (diam M(f_n) <= diam M(f) + DEFAULT_TOL for small
+    scales).
     """
     scales = [float(s) for s in scales]
     if any(s2 >= s1 for s1, s2 in zip(scales, scales[1:])) or (scales and scales[-1] <= 0):
@@ -162,42 +146,41 @@ def semicontinuity_probe(f: Functional, body: ConvexBody, perturbations, scales,
         perts = perts * len(scales)
     if len(perts) != len(scales):
         raise InputDomainError("need one perturbation, or one per scale")
-    base = argmin_set(f, body, tol)
+    base = argmin_set(f, body)
     errors, diams = [], []
     for p, s in zip(perts, scales):
-        a = argmin_set(f + s * p, body, tol)
+        a = argmin_set(f + s * p, body)
         errors.append(abs(a.value - base.value))
         diams.append(a.diameter)
     if tail_start is None:
         tail_start = len(scales) // 2
     tail_max = max(errors[tail_start:], default=0.0)
-    violations = sum(1 for d in diams[tail_start:] if d > base.diameter + tol)
+    violations = sum(1 for d in diams[tail_start:] if d > base.diameter + DEFAULT_TOL)
     return ProbeReport(base_value=base.value, base_diameter=base.diameter,
                        scales=tuple(scales), value_errors=tuple(errors),
                        diameters=tuple(diams), tail_max_error=tail_max,
                        diameter_violations=violations)
 
 
-def exposing_functional(body: ConvexBody, eps: float, seed: int = 0,
-                        max_draws: int = 64, tol: float = DEFAULT_TOL) -> Functional:
+def exposing_functional(body: ConvexBody, eps: float, seed: int = 0) -> Functional:
     """A unit functional whose argmin face over the body has diameter <= eps.
 
     A vertex of a polytope is exposed by a generic direction, so a uniform
     draw on the sphere succeeds except on a measure-zero set; the draw is
-    repeated up to max_draws times.
+    repeated up to `_EXPOSING_DRAWS` times.
     """
     if eps <= 0:
         raise InputDomainError("eps must be positive")
     rng = np.random.default_rng(seed)
-    for _ in range(max_draws):
+    for _ in range(_EXPOSING_DRAWS):
         v = rng.standard_normal(body.dimension)
         nv = np.linalg.norm(v)
         if nv == 0.0:
             continue
         g = Functional(v / nv)
-        if argmin_set(g, body, tol).diameter <= eps:
+        if argmin_set(g, body).diameter <= eps:
             return g
-    raise ExposureFailureError(f"no exposing direction found in {max_draws} draws")
+    raise ExposureFailureError(f"no exposing direction found in {_EXPOSING_DRAWS} draws")
 
 
 @dataclass(frozen=True)
@@ -210,36 +193,36 @@ class PerturbationResult:
 
 
 def shrink_argmin(f: Functional, body: ConvexBody, eps: float, delta: float,
-                  seed: int = 0, tol: float = DEFAULT_TOL,
-                  max_halvings: int = 60) -> PerturbationResult:
+                  seed: int = 0) -> PerturbationResult:
     """Find f* = f + t*g with ||f* - f|| <= delta and diam of its argmin <= eps.
 
     g exposes a face of diameter <= eps/2 inside the argmin face of f; t runs
-    down a geometric schedule delta / (||g|| 2^k). Each scheduled t is trimmed
-    until the shift ||f* - f|| of the computed coefficients is <= delta in
-    floating point; rounding in delta / ||g|| and in f + t*g can otherwise push
-    it past delta, by many ulps when |f| is large against delta. tested_t
-    holds the trimmed values.
+    down a geometric schedule delta / (||g|| 2^k), k < `_HALVINGS`. Each
+    scheduled t is trimmed until the shift ||f* - f|| of the computed
+    coefficients is <= delta in floating point; rounding in delta / ||g|| and
+    in f + t*g can otherwise push it past delta, by many ulps when |f| is large
+    against delta. tested_t holds the trimmed values.
 
     Two inequalities are asserted at every tested t: m(f + t g) <= m(f) +
     t * m0(g), and every active vertex x of f + t g satisfies g(x) <= m0(g) +
-    tol, where m0(g) is the minimum of g over the argmin face of f. A
+    DEFAULT_TOL, where m0(g) is the minimum of g over the argmin face of f. A
     violation or an exhausted schedule is surfaced as an error, never ignored;
     when t * g is too small to separate the face's vertices under the
-    active-set tolerance, the error says that delta is below what tol resolves.
+    active-set tolerance, the error says that delta is below what DEFAULT_TOL
+    resolves.
     """
     if eps <= 0 or delta <= 0:
         raise InputDomainError("eps and delta must be positive")
-    base = argmin_set(f, body, tol)
+    base = argmin_set(f, body)
     if len(base.active_indices) == len(body.vertices):
         face = body
     else:
         face = ConvexBody(body.vertices[list(base.active_indices)])
-    g = exposing_functional(face, eps / 2.0, seed=seed, tol=tol)
+    g = exposing_functional(face, eps / 2.0, seed=seed)
     m0 = float(g(face.vertices).min())
     tested = []
     scale = 1.0 + abs(base.value)
-    for k in range(max_halvings):
+    for k in range(_HALVINGS):
         t = delta / (g.norm * 2.0 ** k)
         while True:
             fs = f + t * g
@@ -249,22 +232,22 @@ def shrink_argmin(f: Functional, body: ConvexBody, eps: float, delta: float,
             # rescale to the realized shift, stepping at least one ulp down so t strictly decreases
             t = min(t * (delta / shift), float(np.nextafter(t, 0.0)))
         tested.append(t)
-        a = argmin_set(fs, body, tol)
-        if a.value > base.value + t * m0 + tol * scale:
+        a = argmin_set(fs, body)
+        if a.value > base.value + t * m0 + DEFAULT_TOL * scale:
             raise PerturbationFailureError(
                 f"minimum-value bound violated at t = {t:g}: "
                 f"{a.value:g} > {base.value + t * m0:g}")
         gvals = g(body.vertices[list(a.active_indices)])
-        if gvals.max() > m0 + tol * (1.0 + abs(m0)):
+        if gvals.max() > m0 + DEFAULT_TOL * (1.0 + abs(m0)):
             # a vertex of f's argmin face stays active under f + t*g when the
             # tolerances of both active sets cover its separation t*(g(x) - m0)
             apart = t * (gvals.max() - m0)
-            window = tol * (scale + 1.0 + abs(a.value))
+            window = DEFAULT_TOL * (scale + 1.0 + abs(a.value))
             if apart <= window:
                 raise PerturbationFailureError(
-                    f"delta = {delta:g} is below what tol = {tol:g} can resolve: at t = {t:g} "
-                    f"the perturbation separates the face's vertices by {apart:g}, within "
-                    f"the active-set tolerance {window:g}")
+                    f"delta = {delta:g} is below what tol = {DEFAULT_TOL:g} can resolve: "
+                    f"at t = {t:g} the perturbation separates the face's vertices by "
+                    f"{apart:g}, within the active-set tolerance {window:g}")
             raise PerturbationFailureError(
                 f"active vertex of the perturbed functional escapes the exposed face "
                 f"at t = {t:g}")
@@ -274,11 +257,11 @@ def shrink_argmin(f: Functional, body: ConvexBody, eps: float, delta: float,
                                       diameter_after=a.diameter,
                                       tested_t=tuple(tested))
     raise PerturbationFailureError(
-        f"schedule of {max_halvings} halvings exhausted without shrinking the argmin")
+        f"schedule of {_HALVINGS} halvings exhausted without shrinking the argmin")
 
 
 def uniqueness_fraction(body: ConvexBody, sample_count: int, eps: float,
-                        seed: int = 0, tol: float = DEFAULT_TOL) -> float:
+                        seed: int = 0) -> float:
     """Fraction of uniform unit functionals whose argmin has diameter <= eps."""
     if sample_count < 1:
         raise InputDomainError("sample_count must be >= 1")
@@ -289,7 +272,7 @@ def uniqueness_fraction(body: ConvexBody, sample_count: int, eps: float,
     m = vals.min(axis=1)
     hits = 0
     for i in range(sample_count):
-        active = body.vertices[vals[i] <= m[i] + tol * (1.0 + abs(m[i]))]
+        active = body.vertices[vals[i] <= m[i] + DEFAULT_TOL * (1.0 + abs(m[i]))]
         if len(active) == 1 or _diameter(active) <= eps:
             hits += 1
     return hits / sample_count

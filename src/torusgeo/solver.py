@@ -7,6 +7,11 @@ preconditioned by the inverse loop Laplacian (a Sobolev gradient, solved per
 coordinate with the FFT); this removes the N^2 stiffness of the fine vertex
 modes while the stopping test stays on the raw gradient. Steps are chosen by
 Armijo backtracking, so the action sequence is strictly non-increasing.
+
+The step constants are fixed: a trial step starts at `_STEP_INIT` and
+shrinks by `_STEP_SHRINK` until the action drops by `_ARMIJO` times the step
+times the directional slope; an accepted step doubles the next trial step,
+up to `_STEP_INIT`.
 """
 from __future__ import annotations
 
@@ -24,24 +29,29 @@ from .loops import (
 )
 from .metrics import FinslerMetric, comparison_constant
 
+_STEP_INIT = 1.0
+_STEP_SHRINK = 0.5
+_ARMIJO = 1e-4
+_LENGTH_TOL_REL = 1e-3
+_JITTER = 0.05
+_PRECOND_SHIFT = 0.5
+_CAP_GRID = 64  # comparison-constant grid behind the speed caps
+
 
 @dataclass(frozen=True)
 class SolverConfig:
     n_vertices: int = 64
     max_iters: int = 2000
-    step_init: float = 1.0
-    step_shrink: float = 0.5
-    armijo: float = 1e-4
     grad_tol: float = 1e-8
     num_starts: int = 1
     cluster_tol: float = 0.05
-    length_tol_rel: float = 1e-3
-    jitter: float = 0.05
     seed: int = 0
 
     def __post_init__(self):
         if self.n_vertices < 32:
             raise InputDomainError("n_vertices must be >= 32")
+        if self.max_iters < 1:
+            raise InputDomainError("max_iters must be >= 1")
         if self.grad_tol <= 0 or self.cluster_tol <= 0:
             raise InputDomainError("grad_tol and cluster_tol must be positive")
         if self.num_starts < 1:
@@ -54,18 +64,16 @@ def min_reference_length(winding: tuple[int, int]) -> float:
     return float(np.hypot(winding[0], winding[1]))
 
 
-def speed_bound(metric: FinslerMetric, winding: tuple[int, int],
-                grid_resolution: int = 64) -> float:
+def speed_bound(metric: FinslerMetric, winding: tuple[int, int]) -> float:
     """A-priori reference-speed bound c_F^2 * min-class-length for F-minimizers."""
-    c = comparison_constant(metric, grid_resolution)
+    c = comparison_constant(metric, _CAP_GRID)
     return c * c * min_reference_length(winding)
 
 
-def verify_speed_cap(metric: FinslerMetric, loop: DiscreteLoop, winding: tuple[int, int],
-                     grid_resolution: int = 64) -> bool:
+def verify_speed_cap(metric: FinslerMetric, loop: DiscreteLoop, winding: tuple[int, int]) -> bool:
     """True iff every segment speed respects the a-priori bound (tiny slack for roundoff)."""
     top = float(np.linalg.norm(loop.velocities, axis=1).max())
-    return top <= speed_bound(metric, winding, grid_resolution) * (1.0 + 1e-6)
+    return top <= speed_bound(metric, winding) * (1.0 + 1e-6)
 
 
 def _edges(x: np.ndarray, winding: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
@@ -101,8 +109,8 @@ def action_gradient(metric: FinslerMetric, loop: DiscreteLoop) -> np.ndarray:
     return _evaluate(metric, loop.vertices[None], loop.winding)[1][0]
 
 
-def _precond_factors(n: int, kappa: float = 1.0, c: float = 0.5) -> np.ndarray:
-    """FFT symbol of kappa * (c*I + 2n*L), L the loop Laplacian.
+def _precond_factors(n: int, kappa: float = 1.0) -> np.ndarray:
+    """FFT symbol of kappa * (c*I + 2n*L), L the loop Laplacian, c = `_PRECOND_SHIFT`.
 
     This is the Hessian of the flat action up to the constant c, which keeps
     the translation modes (the Laplacian kernel) controllable; kappa absorbs
@@ -110,7 +118,7 @@ def _precond_factors(n: int, kappa: float = 1.0, c: float = 0.5) -> np.ndarray:
     """
     k = np.arange(n)
     lam = 2.0 * n * (2.0 - 2.0 * np.cos(2.0 * np.pi * k / n))
-    return kappa * (lam + c)
+    return kappa * (lam + _PRECOND_SHIFT)
 
 
 def _precondition(g: np.ndarray, symbol: np.ndarray) -> np.ndarray:
@@ -151,7 +159,7 @@ def _descend(metric: FinslerMetric, winding: tuple[int, int], config: SolverConf
     symbol = _precond_factors(n, kappa)
     a, grad = _evaluate(metric, x, winding)
     histories = [[float(ai)] for ai in a]
-    step = np.full(n_starts, config.step_init)
+    step = np.full(n_starts, _STEP_INIT)
     iterations = np.zeros(n_starts, dtype=int)
     converged = np.zeros(n_starts, dtype=bool)
     live = np.arange(n_starts)
@@ -176,17 +184,17 @@ def _descend(metric: FinslerMetric, winding: tuple[int, int], config: SolverConf
             xn = x[idx] - s[pending, None, None] * d[pending]
             _require_finite(xn)
             an, gn = _evaluate(metric, xn, winding)
-            ok = an <= a[idx] - config.armijo * s[pending] * slope[pending]
+            ok = an <= a[idx] - _ARMIJO * s[pending] * slope[pending]
             x[idx[ok]], a[idx[ok]], grad[idx[ok]] = xn[ok], an[ok], gn[ok]
             pending = pending[~ok]
-            s[pending] *= config.step_shrink
+            s[pending] *= _STEP_SHRINK
         # a start still pending has stalled at numerical precision
         moved = np.ones(len(live), dtype=bool)
         moved[pending] = False
         live, s = live[moved], s[moved]
         for i in live:
             histories[i].append(float(a[i]))
-        step[live] = np.minimum(s * 2.0, config.step_init)
+        step[live] = np.minimum(s * 2.0, _STEP_INIT)
 
     results = []
     for i in range(n_starts):
@@ -210,8 +218,7 @@ def shortest_loop(metric: FinslerMetric, winding: tuple[int, int], config: Solve
     rng = np.random.default_rng(config.seed)
     if init is None:
         base = DiscreteLoop.straight(winding, config.n_vertices, offset=rng.random(2))
-        verts = base.vertices + rng.uniform(-config.jitter, config.jitter,
-                                            size=base.vertices.shape)
+        verts = base.vertices + rng.uniform(-_JITTER, _JITTER, size=base.vertices.shape)
     else:
         if init.winding != tuple(winding):
             raise InputDomainError("initial loop has the wrong winding class")
@@ -315,9 +322,9 @@ def _starts(winding: tuple[int, int], config: SolverConfig) -> np.ndarray:
     x0 = np.empty((config.num_starts,) + shape)
     for k in range(config.num_starts):
         offset = ((k + rng.random()) / config.num_starts) * normal \
-            + rng.uniform(-config.jitter, config.jitter, size=2)
+            + rng.uniform(-_JITTER, _JITTER, size=2)
         base = DiscreteLoop.straight(winding, config.n_vertices, offset=offset)
-        x0[k] = base.vertices + rng.uniform(-config.jitter, config.jitter, size=shape)
+        x0[k] = base.vertices + rng.uniform(-_JITTER, _JITTER, size=shape)
     return x0
 
 
@@ -336,7 +343,7 @@ def minimizer_set(metric: FinslerMetric, winding: tuple[int, int],
         raise SolverFailureError("no descent run converged")
 
     best = min(r.length for r in results)
-    kept = [r for r in results if r.length <= best * (1.0 + config.length_tol_rel)]
+    kept = [r for r in results if r.length <= best * (1.0 + _LENGTH_TOL_REL)]
     # canonical order: by length, then lexicographically by projected vertices
     kept.sort(key=lambda r: (r.length, tuple(np.round(np.mod(r.loop.vertices, 1.0), 12).ravel())))
     loops = [r.loop for r in kept]

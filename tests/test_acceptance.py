@@ -194,7 +194,8 @@ def test_criterion_9_semicontinuity_probe():
     records, checks = run_semicontinuity({}, 4)
     worst = max(r["tail_max_error"] for r in records)
     verdict(9, all(checks.values()),
-            f"tail monotone {checks['value_errors_tail_monotone']}, diameter bound "
+            f"tail monotone {checks['value_errors_tail_monotone']}, "
+            f"rate bound {checks['value_errors_lipschitz']}, diameter bound "
             f"{checks['diameter_upper_semicontinuous']}, max tail error {worst:.1e}")
 
 

@@ -134,6 +134,13 @@ def test_run_solver_failure_exits_3(tmp_path, capsys):
     assert "no descent run converged" in err
 
 
+@pytest.mark.parametrize("experiment", ["uniqueness", "speed-cap"])
+def test_run_zero_max_iters_exits_2(tmp_path, capsys, experiment):
+    cfg = write(tmp_path, "zero.cfg", f"experiment = {experiment}\nsolver.max_iters = 0\n")
+    assert main(["run", cfg, "--out", str(tmp_path / "x.jsonl")]) == 2
+    assert "max_iters must be >= 1" in capsys.readouterr().err
+
+
 def test_run_non_finite_integer_exits_2(tmp_path):
     cfg = write(tmp_path, "big.cfg", "experiment = uniqueness\nsolver.n_vertices = 1e400\n")
     assert main(["run", cfg, "--out", str(tmp_path / "x.jsonl")]) == 2
@@ -192,6 +199,13 @@ def test_run_consistency_constant_factor_trial_passes(tmp_path):
     assert main(["run", cfg, "--out", out]) == 0
     last = [r for r in read_report(out) if r.get("kind") == "consistency"][-1]
     assert 0.0 < last["gap"] <= last["bound"]
+
+
+def test_run_semicontinuity_past_a_breakpoint_passes(tmp_path):
+    # at seed 4, trial 100's value error grows again past a breakpoint of the
+    # concave m(f + s p), at a scale above the certified one
+    cfg = write(tmp_path, "semi.cfg", "experiment = semicontinuity\nseed = 4\ntrials = 101\n")
+    assert main(["run", cfg, "--out", str(tmp_path / "semi.jsonl")]) == 0
 
 
 def test_plot_data_uniqueness(tmp_path):

@@ -72,14 +72,6 @@ def test_nonfinite_vertices_rejected():
         DiscreteLoop(v, (1, 0))
 
 
-def test_csv_round_trip():
-    rng = np.random.default_rng(0)
-    loop = DiscreteLoop(rng.random((12, 2)), (1, -2))
-    back = DiscreteLoop.from_csv(loop.to_csv())
-    assert back.winding == loop.winding
-    assert np.array_equal(back.vertices, loop.vertices)
-
-
 def test_reversed_negates_winding():
     loop = DiscreteLoop.straight((2, 1), 10, offset=(0.1, 0.2))
     rev = loop.reversed()
@@ -230,6 +222,19 @@ def test_reparametrize_equalizes_speeds():
     assert ell.std() / ell.mean() <= 1e-3
 
 
+@pytest.mark.parametrize("seed, index", [(905, 556), (907, 661), (929, 199)])
+def test_reparametrize_restarts_past_a_stall(seed, index):
+    # the pass from phase 0 stalls at a relative gap of 6e-4 to 2e-3 on these
+    # cs-property loops; a restart at a shifted phase reaches the tolerance
+    from torusgeo.experiments import random_loop
+    rng = np.random.default_rng(seed)
+    for _ in range(index + 1):
+        loop = random_loop(rng)
+    metric = RandersMetric(euclidean(), (0.3, 0.1))
+    out = reparametrize_constant_speed(metric, loop)
+    assert cs_gap(metric, out) <= 1e-6 * action(metric, out)
+
+
 def test_reparametrize_builds_only_the_returned_loop(monkeypatch):
     from torusgeo.experiments import random_loop
     rng = np.random.default_rng(13)  # some of these loops need Newton steps
@@ -253,24 +258,16 @@ def test_reparametrize_builds_only_the_returned_loop(monkeypatch):
             assert out.winding == loop.winding
 
 
-def test_reparametrize_non_finite_trial_raises():
-    # chords between x = +-1e308 overflow, so the first trial's points are
-    # 0 * inf = nan
+@pytest.mark.parametrize("xs, expected", [
+    (np.arange(8) * 1e307, "inf"),          # finite chords whose squares overflow
+    (np.tile([1e308, -1e308], 4), "nan"),   # the chords overflow, and 0 * inf = nan
+], ids=["inf", "nan"])
+def test_reparametrize_infinite_length_raises(xs, expected):
     v = np.zeros((8, 2))
-    v[::2, 0], v[1::2, 0] = 1e308, -1e308
+    v[:, 0] = xs
     loop = DiscreteLoop(v, (1, 0))
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(MalformedLoopError, match="vertices must be finite"):
-            reparametrize_constant_speed(euclidean(), loop)
-
-
-def test_reparametrize_infinite_length_raises():
-    # the vertices and chords are finite, but the chords' squares overflow
-    v = np.zeros((8, 2))
-    v[:, 0] = np.arange(8) * 1e307
-    loop = DiscreteLoop(v, (1, 0))
-    with np.errstate(over="ignore"):
-        assert length(euclidean(), loop) == np.inf
+        assert repr(length(euclidean(), loop)) == expected
         with pytest.raises(MalformedLoopError, match="length is not finite"):
             reparametrize_constant_speed(euclidean(), loop)
 

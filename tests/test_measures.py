@@ -34,14 +34,6 @@ def test_grid_measure_validation():
         GridMeasure(-np.ones((8, 8)))
 
 
-def test_grid_measure_csv_round_trip():
-    rng = np.random.default_rng(0)
-    mu = GridMeasure(rng.random((8, 8)))
-    back = GridMeasure.from_csv(mu.to_csv())
-    assert np.array_equal(back.weights, mu.weights)
-    assert back.total_mass == mu.total_mass
-
-
 # -- pushforward -------------------------------------------------------------------
 
 def test_mass_identity_exact():

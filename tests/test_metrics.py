@@ -185,17 +185,9 @@ def test_nonpositive_factor_rejected():
 def test_unverified_factor_dipping_below_zero_still_raises():
     # 0.05 + cos(2 pi x) is negative on a third of the torus
     dips = ConformalFactor(Fourier2D(0.05, {(1, 0): (1.0, 0.0)}), require_positive=False)
-    assert dips.verified_grid == 0
+    assert not dips.positive
     with pytest.raises(NotAConformalFactorError):
         ConformalMetric(euclidean(), dips)
-
-
-def test_coarsely_verified_factor_is_checked_again():
-    # 0.5 + cos(8 pi x) is 1.5 on the 4 x 4 grid and -0.5 between its points
-    coarse = ConformalFactor(Fourier2D(0.5, {(4, 0): (1.0, 0.0)}), grid_n=4)
-    assert coarse.verified_grid == 4
-    with pytest.raises(NotAConformalFactorError):
-        ConformalMetric(euclidean(), coarse)
 
 
 def test_verified_factor_evaluates_no_further_grid(monkeypatch):

@@ -270,16 +270,6 @@ def test_uniqueness_fraction_degenerate_cases():
     assert uniqueness_fraction(SQUARE, 100, eps=2.0, seed=2) == 1.0  # eps >= diam K
 
 
-# -- serialization -----------------------------------------------------------------
-
-def test_body_and_functional_csv_round_trip():
-    body = ConvexBody([(0.5, -1.25), (2.0, 3.0)])
-    back = ConvexBody.from_csv(body.to_csv())
-    assert np.array_equal(back.vertices, body.vertices)
-    f = Functional((0.25, -3.5))
-    assert np.array_equal(Functional.from_csv("0.25,-3.5").coefficients, f.coefficients)
-
-
 @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([0.0, 1.0, 1e3]),
        st.floats(1e-3, 1.0))
 @settings(max_examples=30, deadline=None)

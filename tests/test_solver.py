@@ -65,6 +65,8 @@ def test_config_rejects_bad_fields():
         SolverConfig(grad_tol=0.0)
     with pytest.raises(InputDomainError):
         SolverConfig(num_starts=0)
+    with pytest.raises(InputDomainError):
+        SolverConfig(max_iters=0)
 
 
 # -- gradient ---------------------------------------------------------------------
