@@ -104,18 +104,14 @@ def metric_from_config(cfg: dict, prefix: str = "metric.") -> FinslerMetric:
     variant = cfg.get(prefix + "variant", "euclidean")
     if variant == "euclidean":
         return euclidean()
-    if variant == "riemannian":
-        return RiemannianMetric(
-            series_from_config(cfg, prefix + "g11.", default_const=1.0),
-            series_from_config(cfg, prefix + "g12.", default_const=0.0),
-            series_from_config(cfg, prefix + "g22.", default_const=1.0),
-        )
-    if variant == "randers":
+    if variant in ("riemannian", "randers"):
         base = RiemannianMetric(
             series_from_config(cfg, prefix + "g11.", default_const=1.0),
             series_from_config(cfg, prefix + "g12.", default_const=0.0),
             series_from_config(cfg, prefix + "g22.", default_const=1.0),
         )
+        if variant == "riemannian":
+            return base
         if prefix + "beta" in cfg:
             bx, by = get_floats(cfg, prefix + "beta")
             beta = (Fourier2D(bx), Fourier2D(by))

@@ -158,9 +158,12 @@ def run_uniqueness(cfg: dict, seed: int):
                           num_starts=get_int(cfg, "solver.num_starts", 50))
     records = []
     spreads = []
+    capped = True
     for t in ts:
         metric = euclidean() if t == 0.0 else ConformalMetric(euclidean(), height_bump(t, center))
         rep = minimizer_set(metric, gamma, scfg)
+        capped = capped and all(verify_speed_cap(metric, c.representative, gamma)
+                                for c in rep.clusters)
         best = rep.clusters[0].representative
         rec = {
             "kind": "uniqueness",
@@ -183,6 +186,7 @@ def run_uniqueness(cfg: dict, seed: int):
         "perturbed_spread_small": last["spread"] <= 1e-2,
         "perturbed_height": torus_gap(last["mean_height"], center) <= 0.02,
         "perturbed_length": abs(last["best_length"] - expected_length) <= 5e-3 * expected_length,
+        "minimizers_within_speed_cap": capped,
     }
     if ts and ts[0] == 0.0:
         checks["flat_spread_witnessed"] = spreads[0] >= 0.3

@@ -180,53 +180,27 @@ def _from_complex(c: dict[Mode, complex]) -> Fourier2D:
     return out
 
 
-def _fits(position: dict[Mode, int], modes: list[Mode]) -> bool:
-    """True iff `modes`, in their order, can join a pass whose mode order is `position`.
-
-    New modes join at the end of the pass, so they must follow every mode
-    the series shares with it.
-    """
-    last, new = -1, len(position)
-    for k in modes:
-        p = position.get(k)
-        if p is None:
-            p, new = new, new + 1
-        if p <= last:
-            return False
-        last = p
-    return True
-
-
 class FieldPass:
     """Several series evaluated together on the same points: one cos/sin per mode.
 
-    Each series adds its modes in its own order with the operations of the
-    single-series evaluation, so every value is bitwise the one a series
-    evaluated alone gets. Modes with zero coefficients are left out. A series
-    whose mode order conflicts with the shared one gets a pass of its own.
+    Each distinct live mode's cos and sin are computed once per call, into a
+    table shared by every series. Each series then adds its own modes in its
+    own order with the operations of the single-series evaluation, so every
+    value is bitwise the one a series evaluated alone gets. Modes with zero
+    coefficients are left out.
     """
 
     def __init__(self, series):
         self.consts = [f.const for f in series]
-        # each pass: the position of each of its modes, and per mode the
-        # (series index, a, b) terms that use it
-        self.passes: list[tuple[dict[Mode, int], list[tuple[Mode, list]]]] = []
+        index: dict[Mode, int] = {}  # each distinct live mode's row in the table
+        # per series with live modes: its index and its (row, a, b) terms in its order
+        self.terms: list[tuple[int, list[tuple[int, float, float]]]] = []
         for i, f in enumerate(series):
-            live = [(k, ab) for k, ab in f.modes.items() if ab != (0.0, 0.0)]
-            if not live:
-                continue
-            keys = [k for k, _ in live]
-            for position, steps in self.passes:
-                if _fits(position, keys):
-                    break
-            else:
-                position, steps = {}, []
-                self.passes.append((position, steps))
-            for k, (a, b) in live:
-                if k not in position:
-                    position[k] = len(steps)
-                    steps.append((k, []))
-                steps[position[k]][1].append((i, a, b))
+            live = [(index.setdefault(k, len(index)), a, b)
+                    for k, (a, b) in f.modes.items() if (a, b) != (0.0, 0.0)]
+            if live:
+                self.terms.append((i, live))
+        self.modes = list(index)
 
     def __call__(self, x, y) -> list:
         """Values at the points (x, y), given as arrays of their coordinates.
@@ -234,20 +208,22 @@ class FieldPass:
         Only points: grids go through `on_axes`. A series without live modes
         gives its constant as a Python float.
         """
+        table = []
+        for kx, ky in self.modes:
+            th = TWO_PI * (kx * x + ky * y)
+            c = np.cos(th)
+            table.append((c, np.sin(th, out=th) if isinstance(th, np.ndarray) else np.sin(th)))
         out = list(self.consts)
-        for _, steps in self.passes:
-            for (kx, ky), terms in steps:
-                th = TWO_PI * (kx * x + ky * y)
-                c = np.cos(th)
-                s = np.sin(th, out=th) if isinstance(th, np.ndarray) else np.sin(th)
-                for i, a, b in terms:
-                    v = out[i]
-                    if type(v) is float:  # the series' first term: a new array
-                        v = v + a * c
-                    else:
-                        v += a * c
-                    v += b * s
-                    out[i] = v
+        for i, terms in self.terms:
+            v = out[i]
+            for j, a, b in terms:
+                c, s = table[j]
+                if type(v) is float:  # the series' first term: a new array
+                    v = v + a * c
+                else:
+                    v += a * c
+                v += b * s
+            out[i] = v
         return out
 
 

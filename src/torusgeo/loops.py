@@ -164,11 +164,14 @@ def reparametrize_constant_speed(metric: FinslerMetric, loop: DiscreteLoop) -> D
     """Resample the loop at equal increments of F-arc-length.
 
     Vertices stay on the original polygon (the parameters u_j live on the
-    input chain); iterating the cumulative-length inversion drives the
-    per-segment speeds, measured with the same midpoint quadrature that
-    cs_gap uses, to a common value: until the gap is at most
-    `_REPARAM_REL_TOL` of the action, in at most `_REPARAM_MAX_ITERS` steps
-    from each sampling phase.
+    input chain). The steps drive the per-segment speeds, measured with the
+    same midpoint quadrature that cs_gap uses, to a common value: until the
+    gap is at most `_REPARAM_REL_TOL` of the action, in at most
+    `_REPARAM_MAX_ITERS` steps from each sampling phase. Each step is a
+    halved-until-better move along the cumulative-length inversion; once
+    inversions stall, along a Newton step on the speed differences. A pass
+    where neither improves the gap ends there, and a restart at a shifted
+    sampling phase takes over.
 
     Trials are evaluated on raw arrays with DiscreteLoop's own formulas for
     the closed lift, midpoints and deltas, so only the returned loop is built
@@ -237,34 +240,10 @@ def reparametrize_constant_speed(metric: FinslerMetric, loop: DiscreteLoop) -> D
     def admissible(u):
         return u[0] >= 0.0 and u[-1] < n and np.all(np.diff(u) > 0.0)
 
-    def chord_speed(a, b):
-        return float(metric.speed((0.5 * (a + b))[None], (b - a)[None])[0])
-
-    def repair_sweep(u):
-        # equalize each vertex's two adjacent chord speeds by bisection on
-        # its chain parameter; immune to the kinks at the chain knots where
-        # the derivative-based steps can stall
-        pts = _close(_point_on_polygon(closed, u), shift)
-        u_out = u.copy()
-        for j in range(1, n):
-            lo, hi = u_out[j - 1], u[j + 1] if j + 1 < n else float(n)
-            a, b = pts[j - 1], pts[j + 1]
-            for _ in range(50):
-                mid = 0.5 * (lo + hi)
-                x = _point_on_polygon(closed, np.array([mid]))[0]
-                if chord_speed(x, b) - chord_speed(a, x) > 0.0:
-                    lo = mid
-                else:
-                    hi = mid
-            u_out[j] = 0.5 * (lo + hi)
-            pts[j] = _point_on_polygon(closed, np.array([u_out[j]]))[0]
-        return u_out
-
     def attempt(phase):
         u = np.arange(n, dtype=float) + phase
         chords, ell, total, gap = evaluate(u)
         stalled_inversions = 0
-        sweeps_left = 4
         for _ in range(_REPARAM_MAX_ITERS):
             if gap <= _REPARAM_REL_TOL * (gap + total ** 2):
                 break
@@ -288,16 +267,7 @@ def reparametrize_constant_speed(metric: FinslerMetric, loop: DiscreteLoop) -> D
                 if stalled_inversions < 2:
                     stalled_inversions = 2
                     continue
-                if sweeps_left == 0:
-                    break
-                sweeps_left -= 1
-                u_try = repair_sweep(u)
-                if not admissible(u_try):
-                    break
-                chords_try, ell_try, total_try, gap_try = evaluate(u_try)
-                if gap_try >= gap:
-                    break  # at numerical precision
-                u, chords, ell, total, gap = u_try, chords_try, ell_try, total_try, gap_try
+                break  # stalled: a restart at another phase takes over
             elif stalled_inversions < 2:
                 stalled_inversions = stalled_inversions + 1 if t < 1.0 else 0
         return u, gap, total

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from torusgeo import euclidean, evaluate
+from torusgeo import evaluate
 from torusgeo.cli import main
 from torusgeo.config import (
     get_float,
@@ -58,9 +58,14 @@ def test_metric_from_config_variants():
     e = metric_from_config({"metric.variant": "euclidean"})
     assert evaluate(e, (0.0, 0.0), (3.0, 4.0)) == pytest.approx(5.0)
 
+    g = metric_from_config(parse_config(
+        "metric.variant = riemannian\nmetric.g11.const = 4.0\n"))
+    assert evaluate(g, (0.3, 0.7), (1.0, 0.0)) == pytest.approx(2.0)
+
     r = metric_from_config(parse_config(
-        "metric.variant = randers\nmetric.beta = 0.5,0\n"))
+        "metric.variant = randers\nmetric.g22.const = 9.0\nmetric.beta = 0.5,0\n"))
     assert evaluate(r, (0.0, 0.0), (1.0, 0.0)) == pytest.approx(1.5)
+    assert evaluate(r, (0.0, 0.0), (0.0, 1.0)) == pytest.approx(3.0)
 
     c = metric_from_config(parse_config(
         "metric.variant = conformal\n"

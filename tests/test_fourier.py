@@ -128,7 +128,7 @@ def _shared_series(seed):
     rng = np.random.default_rng(seed)
     f = rand_series(rng, n_modes=4)
     g = Fourier2D(0.5, {(1, 0): (0.3, -0.2), (0, 1): (0.1, 0.4)})
-    # same modes as g in the opposite order: it cannot join g's pass
+    # same modes as g in the opposite order: each series adds them in its own order
     h = Fourier2D(-1.0, {(0, 1): (0.2, 0.0), (1, 0): (0.0, 0.7)})
     return [f, f.derivative(1, 0), f.derivative(0, 1), g, h, h.derivative(0, 1),
             Fourier2D(2.5), Fourier2D(0.0, {(0, 1): (0.0, 0.0)})]
@@ -147,6 +147,28 @@ def test_shared_pass_equals_call(seed):
     for f, val in zip(series, on_grid(series, 24)):
         assert np.all(np.abs(val - _reference_eval(f, grid)) <= _grid_tolerance(f))
         assert np.array_equal(f.grid_values(24), val)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_shared_pass_one_cos_sin_per_mode(seed, monkeypatch):
+    series = _shared_series(seed)
+    modes = {k for f in series for k, ab in f.modes.items() if ab != (0.0, 0.0)}
+    field_pass = FieldPass(series)
+    calls = {"cos": 0, "sin": 0}
+
+    def counted(name):
+        real = getattr(np, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(np, name, counted(name))
+    pts = np.random.default_rng(seed).uniform(-2.0, 2.0, (7, 9, 2))
+    field_pass(pts[..., 0], pts[..., 1])
+    assert calls == {"cos": len(modes), "sin": len(modes)}
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
