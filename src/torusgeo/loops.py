@@ -30,15 +30,19 @@ _REPARAM_REL_TOL = 1e-6  # target gap of a reparametrization, relative to its ac
 _REPARAM_MAX_ITERS = 300
 
 
-def _close(vertices: np.ndarray, shift: np.ndarray) -> np.ndarray:
-    """The N+1 lift points: the vertices and the closing point x_0 + shift."""
-    return np.vstack([vertices, vertices[0] + shift])
+def edges(x: np.ndarray, winding: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Segment midpoints and deltas x_{i+1} - x_i of lifts x, shape (..., N, 2).
+
+    Each lift closes at x_N = x_0 + winding.
+    """
+    nxt = np.concatenate([x[..., 1:, :], x[..., :1, :] + np.asarray(winding, float)], axis=-2)
+    return 0.5 * (x + nxt), nxt - x
 
 
 class DiscreteLoop:
     """An N-vertex polygonal loop, lifted to R^2, of winding class (p, q)."""
 
-    __slots__ = ("vertices", "winding", "_closed")
+    __slots__ = ("vertices", "winding")
 
     def __init__(self, vertices, winding: tuple[int, int]):
         v = np.array(vertices, dtype=float)
@@ -51,7 +55,6 @@ class DiscreteLoop:
         v.setflags(write=False)
         self.vertices = v
         self.winding = (int(winding[0]), int(winding[1]))
-        self._closed = None
 
     @classmethod
     def from_open_lift(cls, points) -> "DiscreteLoop":
@@ -78,26 +81,16 @@ class DiscreteLoop:
 
     @property
     def closed_lift(self) -> np.ndarray:
-        """Vertices including the closing point x_N = x_0 + (p, q), shape (N+1, 2).
-
-        Built on first use and cached read-only, so midpoints, deltas and
-        velocities share one array.
-        """
-        if self._closed is None:
-            c = _close(self.vertices, np.asarray(self.winding, float))
-            c.setflags(write=False)
-            self._closed = c
-        return self._closed
+        """Vertices including the closing point x_N = x_0 + (p, q), shape (N+1, 2)."""
+        return np.vstack([self.vertices, self.vertices[0] + np.asarray(self.winding, float)])
 
     @property
     def deltas(self) -> np.ndarray:
-        c = self.closed_lift
-        return c[1:] - c[:-1]
+        return edges(self.vertices, self.winding)[1]
 
     @property
     def midpoints(self) -> np.ndarray:
-        c = self.closed_lift
-        return 0.5 * (c[:-1] + c[1:])
+        return edges(self.vertices, self.winding)[0]
 
     @property
     def velocities(self) -> np.ndarray:
@@ -127,7 +120,7 @@ def require_nontrivial(winding: tuple[int, int]) -> tuple[int, int]:
 
 def segment_lengths(metric: FinslerMetric, loop: DiscreteLoop) -> np.ndarray:
     """Per-segment F-lengths F(m_i, dx_i) with midpoint-frozen coefficients."""
-    return metric.speed(loop.midpoints, loop.deltas)
+    return metric.speed(*edges(loop.vertices, loop.winding))
 
 
 def length(metric: FinslerMetric, loop: DiscreteLoop) -> float:
@@ -138,7 +131,8 @@ def length(metric: FinslerMetric, loop: DiscreteLoop) -> float:
 def action(metric: FinslerMetric, loop: DiscreteLoop) -> float:
     """Discrete action (1/N) sum F^2(m_i, N dx_i) of the period-1 parametrization."""
     n = loop.n_vertices
-    s = metric.speed(loop.midpoints, loop.velocities)
+    mids, deltas = edges(loop.vertices, loop.winding)
+    s = metric.speed(mids, n * deltas)
     return float((s ** 2).sum() / n)
 
 
@@ -154,10 +148,8 @@ def _segment_index(u: np.ndarray, n: int) -> np.ndarray:
 
 def _point_on_polygon(closed: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Evaluate the polygon at parameters u in [0, N] (vertex i at u = i)."""
-    n = len(closed) - 1
-    j = _segment_index(u, n)
-    frac = u - j
-    return closed[j] + frac[:, None] * (closed[j + 1] - closed[j])
+    knots = np.arange(len(closed))
+    return np.stack([np.interp(u, knots, closed[:, 0]), np.interp(u, knots, closed[:, 1])], axis=-1)
 
 
 def reparametrize_constant_speed(metric: FinslerMetric, loop: DiscreteLoop) -> DiscreteLoop:
@@ -173,9 +165,8 @@ def reparametrize_constant_speed(metric: FinslerMetric, loop: DiscreteLoop) -> D
     where neither improves the gap ends there, and a restart at a shifted
     sampling phase takes over.
 
-    Trials are evaluated on raw arrays with DiscreteLoop's own formulas for
-    the closed lift, midpoints and deltas, so only the returned loop is built
-    as a DiscreteLoop.
+    Trials are evaluated on plain vertex arrays through `edges`, so only the
+    returned loop is built as a DiscreteLoop.
     """
     closed = loop.closed_lift
     n = loop.n_vertices
@@ -186,15 +177,10 @@ def reparametrize_constant_speed(metric: FinslerMetric, loop: DiscreteLoop) -> D
                                  "and their chords must not overflow")
     if loop_length <= 0.0:
         raise DegenerateLoopError("cannot reparametrize a zero-length loop")
-    tangents = closed[1:] - closed[:-1]
-    shift = np.asarray(loop.winding, float)
+    tangents = loop.deltas
 
     def evaluate(u):
-        verts = _point_on_polygon(closed, u)
-        if not np.all(np.isfinite(verts)):
-            raise MalformedLoopError("vertices must be finite")
-        c = _close(verts, shift)
-        mids, deltas = 0.5 * (c[:-1] + c[1:]), c[1:] - c[:-1]  # DiscreteLoop's formulas
+        mids, deltas = edges(_point_on_polygon(closed, u), loop.winding)
         ell = metric.speed(mids, deltas)
         a = float((ell ** 2).sum()) * n
         total = float(ell.sum())
@@ -291,6 +277,12 @@ class LoopMeasure:
     points: np.ndarray     # (N, 2), reduced mod 1
     velocities: np.ndarray  # (N, 2)
     speed_cap: float
+
+    def __post_init__(self):
+        # a point outside [0, 1] would be binned into a wrong grid cell; nan fails both tests
+        pts = np.asarray(self.points, float)
+        if not np.all((pts >= 0.0) & (pts <= 1.0)):
+            raise InputDomainError("points must be finite and lie in [0, 1]")
 
     @property
     def weight(self) -> float:

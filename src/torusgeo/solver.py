@@ -23,6 +23,7 @@ from .errors import InputDomainError, MalformedLoopError, SolverFailureError
 from .loops import (
     DiscreteLoop,
     action,
+    edges,
     length,
     reparametrize_constant_speed,
     require_nontrivial,
@@ -76,19 +77,14 @@ def verify_speed_cap(metric: FinslerMetric, loop: DiscreteLoop, winding: tuple[i
     return top <= speed_bound(metric, winding) * (1.0 + 1e-6)
 
 
-def _edges(x: np.ndarray, winding: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """Segment midpoints and velocities N * (x_{i+1} - x_i) of lifts x, shape (S, N, 2)."""
-    nxt = np.concatenate([x[:, 1:], x[:, :1] + np.asarray(winding, float)], axis=1)
-    return 0.5 * (x + nxt), x.shape[1] * (nxt - x)
-
-
 def _evaluate(metric: FinslerMetric, x: np.ndarray, winding) -> tuple[np.ndarray, np.ndarray]:
     """Discrete action, shape (S,), and its analytic gradient, shape (S, N, 2), of each lift in x.
 
     One metric kernel call gives both; the action is the one `loops.action` computes.
     """
     n = x.shape[1]
-    f, gx, gv = metric.kernel(*_edges(x, winding))
+    mids, deltas = edges(x, winding)
+    f, gx, gv = metric.kernel(mids, n * deltas)
     # segment i depends on x_i (midpoint half, velocity -N) and x_{i+1} (+N)
     grads = 0.5 * (gx + _previous(gx)) / n + _previous(gv) - gv
     return (f ** 2).sum(axis=-1) / n, grads
@@ -289,6 +285,7 @@ class MinimizerReport:
 
 
 def _single_linkage(dist: np.ndarray, tol: float) -> list[list[int]]:
+    """Index groups chained by distances <= tol, ordered by least member, each ascending."""
     n = len(dist)
     parent = list(range(n))
 
@@ -349,13 +346,11 @@ def minimizer_set(metric: FinslerMetric, winding: tuple[int, int],
     loops = [r.loop for r in kept]
     dist = _distance_table(loops)
     spread = float(dist.max())
-    clusters = []
-    for idx in _single_linkage(dist, config.cluster_tol):
-        rep = min(idx, key=lambda i: (kept[i].length, i))
-        clusters.append(MinimizerCluster(representative=loops[rep], size=len(idx),
-                                         length=kept[rep].length))
-    clusters.sort(key=lambda c: (c.length,
-                                 tuple(np.round(np.mod(c.representative.vertices, 1.0), 12).ravel())))
-    return MinimizerReport(clusters=tuple(clusters), spread=spread,
+    # each group's first member is its shortest loop, and the groups come in
+    # the order of those loops, so the clusters keep the canonical order
+    clusters = tuple(MinimizerCluster(representative=loops[idx[0]], size=len(idx),
+                                      length=kept[idx[0]].length)
+                     for idx in _single_linkage(dist, config.cluster_tol))
+    return MinimizerReport(clusters=clusters, spread=spread,
                            best_length=best, n_converged=len(results),
                            n_failed=len(solved) - len(results))

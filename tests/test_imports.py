@@ -1,7 +1,8 @@
-"""Every name a module imports is used in that module.
+"""Every name a module imports is used in that module, and every module-level
+private name (`_name`) of the package is read by some module of the package.
 
-Package `__init__.py` files are skipped: their imports are the public API.
-`from __future__` imports are compiler directives, not names.
+Package `__init__.py` files are skipped by the import scan: their imports are
+the public API. `from __future__` imports are compiler directives, not names.
 """
 import ast
 from pathlib import Path
@@ -34,3 +35,43 @@ def test_no_unused_imports():
              for path in sorted(folder.glob("*.py")) if path.name != "__init__.py"
              for name in unused_imports(path.read_text(encoding="utf-8"))]
     assert found == []
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """The module-level `_name` definitions in `sources` (label -> source) that no source reads.
+
+    A name counts as read when any source loads it, imports it or takes it as an attribute.
+    """
+    defined, read = [], set()
+    for label, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names = [node.target.id]
+            else:
+                names = []
+            defined += [(label, n) for n in names if n.startswith("_") and not n.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+    return [f"{label}: {name}" for label, name in defined if name not in read]
+
+
+def test_unread_private_names_detected():
+    sources = {"a": "_TOL = 1\n_OLD = 2\ndef _f():\n    return _TOL\nclass _C: pass\n",
+               "b": "from .a import _f\nimport a\nprint(a._C, _f)\n"}
+    assert unread_private_names(sources) == ["a: _OLD"]
+
+
+def test_no_unread_private_names():
+    package = ROOT / "src" / "torusgeo"
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(package.glob("*.py"))}
+    assert unread_private_names(sources) == []

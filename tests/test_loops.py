@@ -22,7 +22,7 @@ from torusgeo.errors import (
     SpeedCapError,
     TrivialClassError,
 )
-from torusgeo.loops import require_nontrivial, segment_lengths
+from torusgeo.loops import _point_on_polygon, edges, require_nontrivial, segment_lengths
 
 
 def two_speed_loop():
@@ -79,13 +79,9 @@ def test_reversed_negates_winding():
     assert length(euclidean(), rev) == pytest.approx(length(euclidean(), loop))
 
 
-def test_closed_lift_cached_and_read_only():
+def test_closed_lift_appends_x0_plus_winding():
     loop = DiscreteLoop(np.random.default_rng(1).random((10, 2)), (2, -1))
     c = loop.closed_lift
-    assert c is loop.closed_lift
-    assert not c.flags.writeable
-    with pytest.raises(ValueError):
-        c[0, 0] = 1.0
     assert np.array_equal(c, np.vstack([loop.vertices, loop.vertices[0] + np.array([2.0, -1.0])]))
 
 
@@ -96,6 +92,12 @@ def test_midpoints_deltas_velocities_equal_formulas():
     assert np.array_equal(loop.deltas, c[1:] - c[:-1])
     assert np.array_equal(loop.midpoints, 0.5 * (c[:-1] + c[1:]))
     assert np.array_equal(loop.velocities, 12 * (c[1:] - c[:-1]))
+    # a batch of lifts gets each row's midpoints and deltas
+    batch = np.random.default_rng(3).random((5, 12, 2)) * 3.0 - 1.0
+    mids, deltas = edges(batch, (-1, 3))
+    for row, m, d in zip(batch, mids, deltas):
+        assert np.array_equal(m, DiscreteLoop(row, (-1, 3)).midpoints)
+        assert np.array_equal(d, DiscreteLoop(row, (-1, 3)).deltas)
 
 
 # -- length -------------------------------------------------------------------
@@ -196,6 +198,20 @@ def test_reparametrize_preserves_winding_and_stays_on_chain():
         t = np.clip(t, 0.0, 1.0)
         dist = np.linalg.norm(closed[:-1] + t[:, None] * d - v, axis=1)
         assert dist.min() <= 1e-9
+
+
+def test_point_on_polygon_equals_lerp():
+    # reference: the lerp on segment j = floor(u), clamped to 0..N-1; equal bit for bit
+    from torusgeo.experiments import random_loop
+    rng = np.random.default_rng(9)
+    for _ in range(200):
+        closed = random_loop(rng).closed_lift
+        n = len(closed) - 1
+        for u in (np.arange(n, dtype=float), np.arange(n) + 0.5, np.sort(rng.uniform(0, n, n))):
+            j = np.minimum(np.floor(u).astype(int), n - 1)
+            frac = u - j
+            expected = closed[j] + frac[:, None] * (closed[j + 1] - closed[j])
+            assert _point_on_polygon(closed, u).tobytes() == expected.tobytes()
 
 
 def test_reparametrize_double_application_stable():

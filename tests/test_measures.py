@@ -63,6 +63,19 @@ def test_low_resolution_rejected():
         pushforward(euclidean(), measure_of(loop), 4)
 
 
+def test_loop_measure_rejects_points_outside_unit_square():
+    # np.mod can return exactly 1.0, so the closed square is allowed; at
+    # resolution 16 x = -0.1 and x = 1.5 would be binned into cell 15, not 14 and 8
+    from torusgeo.loops import LoopMeasure
+    pts = np.full((8, 2), 0.5)
+    pts[0], pts[1] = (0.0, 1.0), (1.0, 0.0)
+    LoopMeasure(points=pts, velocities=np.ones((8, 2)), speed_cap=2.0)
+    for bad in (-0.1, 1.5, np.nan, np.inf):
+        pts[3, 0] = bad
+        with pytest.raises(InputDomainError):
+            LoopMeasure(points=pts, velocities=np.ones((8, 2)), speed_cap=2.0)
+
+
 def test_pushforward_linearity():
     # convex combination formed samplewise equals combination of pushforwards
     from torusgeo.loops import LoopMeasure

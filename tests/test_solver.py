@@ -22,7 +22,7 @@ from torusgeo import (
 from torusgeo.errors import InputDomainError, MalformedLoopError, TrivialClassError
 from torusgeo.fourier import Fourier2D
 from torusgeo.metrics import RiemannianMetric
-from torusgeo.solver import _descend, _distance_table, _starts
+from torusgeo.solver import _descend, _distance_table, _evaluate, _starts
 
 CFG = SolverConfig(n_vertices=64, max_iters=2000, grad_tol=1e-7, seed=0)
 
@@ -88,6 +88,15 @@ def test_action_gradient_matches_finite_differences():
                   - action(m, DiscreteLoop(vm, loop.winding))) / (2 * h)
             scale = max(abs(fd), np.abs(g).max())
             assert abs(g[i, j] - fd) <= 1e-5 * scale
+
+
+def test_batched_action_equals_loops_action():
+    # the descent's action is exactly `loops.action`, bit for bit
+    from torusgeo.experiments import random_loop, random_metric
+    rng = np.random.default_rng(8)
+    for _ in range(500):
+        m, loop = random_metric(rng), random_loop(rng)
+        assert _evaluate(m, loop.vertices[None], loop.winding)[0][0] == action(m, loop)
 
 
 # -- shortest_loop ----------------------------------------------------------------
