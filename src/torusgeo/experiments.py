@@ -347,7 +347,7 @@ def run_semicontinuity(cfg: dict, seed: int):
         rate = float(np.abs(p_vals).max())
         if any(e > s * rate + 1e-12 * scale for e, s in zip(errs, scales)):
             lipschitz_ok = False
-        if any(d > rep.base_diameter + 1e-9 for d in rep.diameters[tail_k - k_lo:]):
+        if rep.diameter_violations:
             diam_ok = False
         records.append({"kind": "semicontinuity", "trial": trial,
                         "tail_max_error": rep.tail_max_error,

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import InputDomainError
+
 TWO_PI = 2.0 * np.pi
 
 Mode = tuple[int, int]
@@ -36,6 +38,9 @@ class Fourier2D:
         if modes:
             for k, (a, b) in modes.items():
                 self._accumulate(k, float(a), float(b))
+        # a nan coefficient would pass the grid checks built on the series (nan <= 0.0 is False)
+        if not np.isfinite([self.const, *(c for ab in self.modes.values() for c in ab)]).all():
+            raise InputDomainError("Fourier coefficients must be finite")
 
     def _accumulate(self, k: Mode, a: float, b: float) -> None:
         if k[0] == 0 and k[1] == 0:

@@ -160,10 +160,11 @@ def reparametrize_constant_speed(metric: FinslerMetric, loop: DiscreteLoop) -> D
     same midpoint quadrature that cs_gap uses, to a common value: until the
     gap is at most `_REPARAM_REL_TOL` of the action, in at most
     `_REPARAM_MAX_ITERS` steps from each sampling phase. Each step is a
-    halved-until-better move along the cumulative-length inversion; once
-    inversions stall, along a Newton step on the speed differences. A pass
-    where neither improves the gap ends there, and a restart at a shifted
-    sampling phase takes over.
+    halved-until-better move. A pass steps along the cumulative-length
+    inversion (one `np.interp`) until an inversion step must be shortened or
+    finds no better gap; from then on it takes Newton steps on the speed
+    differences. A Newton step that finds no better gap, or a singular Newton
+    system, ends the pass, and a restart at a shifted sampling phase takes over.
 
     Trials are evaluated on plain vertex arrays through `edges`, so only the
     returned loop is built as a DiscreteLoop.
@@ -190,16 +191,11 @@ def reparametrize_constant_speed(metric: FinslerMetric, loop: DiscreteLoop) -> D
         # invert the cumulative F-length at equal targets, holding the
         # per-segment speed profile frozen
         s = np.concatenate([[0.0], np.cumsum(ell)])
-        targets = np.arange(n) * total / n
-        j = np.minimum(np.maximum(np.searchsorted(s, targets, side="right") - 1, 0), n - 1)
-        seg = s[j + 1] - s[j]
-        frac = np.where(seg > 0.0, (targets - s[j]) / np.where(seg > 0.0, seg, 1.0), 0.0)
-        u_ext = np.concatenate([u, [u[0] + n]])
-        return u_ext[j] + frac * (u_ext[j + 1] - u_ext[j]) - u
+        return np.interp(np.arange(n) * total / n, s, np.concatenate([u, [u[0] + n]])) - u
 
     def newton_direction(u, chords, ell):
         # speed differences r_j = ell_{j+1} - ell_j have a tridiagonal
-        # Jacobian in (u_1, ..., u_{n-1}); u_0 stays pinned at 0
+        # Jacobian in (u_1, ..., u_{n-1}); u_0 stays pinned at the pass's phase
         gx, gv = metric.speed_sq_grads(*chords)
         inv = 0.5 / np.maximum(ell, 1e-300)
         fx, fv = gx * inv[:, None], gv * inv[:, None]
@@ -229,33 +225,27 @@ def reparametrize_constant_speed(metric: FinslerMetric, loop: DiscreteLoop) -> D
     def attempt(phase):
         u = np.arange(n, dtype=float) + phase
         chords, ell, total, gap = evaluate(u)
-        stalled_inversions = 0
+        newton = False
         for _ in range(_REPARAM_MAX_ITERS):
             if gap <= _REPARAM_REL_TOL * (gap + total ** 2):
                 break
-            if stalled_inversions < 2:
-                d = inversion_direction(u, ell, total)
-            else:
-                d = newton_direction(u, chords, ell)
-                if d is None:
-                    d = inversion_direction(u, ell, total)
-            t, improved = 1.0, False
+            d = newton_direction(u, chords, ell) if newton else inversion_direction(u, ell, total)
+            if d is None:
+                break  # singular Newton system: a restart at another phase takes over
+            t = 1.0
             for _ in range(40):
                 u_try = u + t * d
                 if admissible(u_try):
                     chords_try, ell_try, total_try, gap_try = evaluate(u_try)
                     if gap_try < gap:
                         u, chords, ell, total, gap = u_try, chords_try, ell_try, total_try, gap_try
-                        improved = True
                         break
                 t *= 0.5
-            if not improved:
-                if stalled_inversions < 2:
-                    stalled_inversions = 2
-                    continue
-                break  # stalled: a restart at another phase takes over
-            elif stalled_inversions < 2:
-                stalled_inversions = stalled_inversions + 1 if t < 1.0 else 0
+            else:
+                if newton:
+                    break  # stalled: a restart at another phase takes over
+            # an inversion step that was shortened or failed hands the pass to Newton
+            newton = newton or t < 1.0
         return u, gap, total
 
     # a stall can pin a vertex on a kink of the chain; restarting with a

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from torusgeo.errors import InputDomainError
 from torusgeo.fourier import FieldPass, Fourier2D, on_axes, on_grid
 
 
@@ -54,6 +55,24 @@ def test_derivative_of_constant_is_zero():
     f = Fourier2D(3.0)
     assert f.derivative(1, 0).max_abs() == 0.0
     assert f.derivative(0, 5).max_abs() == 0.0
+
+
+@pytest.mark.parametrize("const, modes", [
+    (np.nan, None),
+    (np.inf, None),
+    (-np.inf, None),
+    (1.0, {(1, 0): (np.nan, 0.0)}),
+    (1.0, {(0, 1): (0.0, np.inf)}),
+    (1.0, {(0, 0): (np.nan, 0.0)}),  # the (0, 0) mode folds into the constant
+], ids=["nan", "inf", "-inf", "mode-cos-nan", "mode-sin-inf", "zero-mode-nan"])
+def test_non_finite_coefficient_rejected(const, modes):
+    with pytest.raises(InputDomainError, match="finite"):
+        Fourier2D(const, modes)
+
+
+def test_overflowing_scaling_rejected():
+    with pytest.raises(InputDomainError):
+        10.0 * Fourier2D(1.0, {(1, 0): (1e308, 0.0)})
 
 
 def test_product_pointwise():

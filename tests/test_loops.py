@@ -33,6 +33,17 @@ def two_speed_loop():
     return DiscreteLoop(verts, (2, 0))
 
 
+def assert_on_chain(out, loop):
+    """Every vertex of `out` lies on some segment of `loop`'s closed lift."""
+    closed = loop.closed_lift
+    d = closed[1:] - closed[:-1]
+    for v in out.vertices:
+        t = ((v - closed[:-1]) * d).sum(axis=1) / (d ** 2).sum(axis=1)
+        t = np.clip(t, 0.0, 1.0)
+        dist = np.linalg.norm(closed[:-1] + t[:, None] * d - v, axis=1)
+        assert dist.min() <= 1e-9
+
+
 # -- construction and winding -------------------------------------------------
 
 def test_straight_lift_winding():
@@ -190,14 +201,7 @@ def test_reparametrize_preserves_winding_and_stays_on_chain():
     m = RandersMetric(euclidean(), (0.3, 0.0))
     out = reparametrize_constant_speed(m, loop)
     assert out.winding == loop.winding
-    # every output vertex lies on some input segment
-    closed = loop.closed_lift
-    for v in out.vertices:
-        d = closed[1:] - closed[:-1]
-        t = ((v - closed[:-1]) * d).sum(axis=1) / (d ** 2).sum(axis=1)
-        t = np.clip(t, 0.0, 1.0)
-        dist = np.linalg.norm(closed[:-1] + t[:, None] * d - v, axis=1)
-        assert dist.min() <= 1e-9
+    assert_on_chain(out, loop)
 
 
 def test_point_on_polygon_equals_lerp():
@@ -279,6 +283,29 @@ def test_reparametrize_builds_only_the_returned_loop(monkeypatch):
             out = reparametrize_constant_speed(metric, loop)
             assert len(built) == before + 1
             assert out.winding == loop.winding
+
+
+def test_reparametrize_survives_a_singular_newton_system(monkeypatch):
+    # a failed Newton solve ends the pass; the restarts and the best-gap pick
+    # still return a loop on the input chain, no worse than the input
+    from torusgeo.experiments import random_loop
+    rng = np.random.default_rng(13)  # the loops of test_reparametrize_builds_only_the_returned_loop
+    loops = [random_loop(rng) for _ in range(8)]
+    metrics = [_cs_property_metric(i) for i in range(3)]
+    solves = []
+
+    def singular(a, b):
+        solves.append(1)
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    for loop in loops:
+        for metric in metrics:
+            out = reparametrize_constant_speed(metric, loop)
+            assert out.winding == loop.winding
+            assert_on_chain(out, loop)
+            assert cs_gap(metric, out) <= cs_gap(metric, loop) + 1e-12 * action(metric, loop)
+    assert solves  # some pass reached a Newton step
 
 
 @pytest.mark.parametrize("xs, expected", [

@@ -182,6 +182,23 @@ def test_nonpositive_factor_rejected():
             Fourier2D(0.5, {(0, 1): (1.0, 0.0)}), require_positive=False))
 
 
+@pytest.mark.parametrize("build", [
+    lambda: ConformalFactor(Fourier2D(np.nan)),
+    lambda: ConformalFactor(Fourier2D(np.inf)),
+    lambda: ConformalFactor(np.nan, require_positive=False),
+    lambda: ConformalMetric(euclidean(), ConformalFactor(Fourier2D(np.nan))),
+    lambda: RiemannianMetric(np.nan, 0.0, 1.0),
+    lambda: RandersMetric(euclidean(), (np.nan, 0.0)),
+    lambda: RandersMetric(euclidean(), (0.0, np.inf), validate=False),
+], ids=["factor-nan", "factor-inf", "unverified-factor-nan", "conformal-metric-nan",
+        "riemannian-nan", "randers-nan", "unvalidated-randers-inf"])
+def test_non_finite_coefficients_rejected(build):
+    # a nan coefficient passed every grid check (nan <= 0.0 is False), and the
+    # conformal metric built on it gave a nan comparison constant
+    with pytest.raises(InputDomainError, match="finite"):
+        build()
+
+
 def test_unverified_factor_dipping_below_zero_still_raises():
     # 0.05 + cos(2 pi x) is negative on a third of the torus
     dips = ConformalFactor(Fourier2D(0.05, {(1, 0): (1.0, 0.0)}), require_positive=False)

@@ -22,7 +22,7 @@ from torusgeo import (
 from torusgeo.errors import InputDomainError, MalformedLoopError, TrivialClassError
 from torusgeo.fourier import Fourier2D
 from torusgeo.metrics import RiemannianMetric
-from torusgeo.solver import _descend, _distance_table, _evaluate, _starts
+from torusgeo.solver import _descend, _distance_table, _evaluate, _single_linkage, _starts
 
 CFG = SolverConfig(n_vertices=64, max_iters=2000, grad_tol=1e-7, seed=0)
 
@@ -262,6 +262,49 @@ def test_loop_distance_rejects_winding_mismatch():
     b = DiscreteLoop.straight((0, 1), 16)
     with pytest.raises(InputDomainError):
         loop_distance(a, b)
+
+
+def _union_find_groups(dist, tol):
+    """Reference single linkage: union-find over the pairs at distance <= tol."""
+    n = len(dist)
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            if dist[i, j] <= tol:
+                parent[find(i)] = find(j)
+    groups: dict[int, list[int]] = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(i)
+    return list(groups.values())
+
+
+def test_single_linkage_equals_union_find():
+    rng = np.random.default_rng(17)
+    for _ in range(500):
+        m = int(rng.integers(1, 61))
+        pts = rng.random((m, 2))
+        dist = np.linalg.norm(pts[:, None] - pts[None], axis=-1)
+        tol = rng.uniform(0.0, 0.3)
+        assert _single_linkage(dist, tol) == _union_find_groups(dist, tol)
+
+
+def test_single_linkage_follows_a_long_chain():
+    # two chains of unit steps, shuffled so that each group's least member sits
+    # far along its chain: labels need many rounds to spread
+    rng = np.random.default_rng(18)
+    pos = rng.permutation(np.concatenate([np.arange(30), np.arange(40, 70)])).astype(float)
+    dist = np.abs(pos[:, None] - pos[None])
+    groups = _single_linkage(dist, 1.0)
+    assert groups == _union_find_groups(dist, 1.0)
+    assert [sorted(pos[g]) for g in groups] in ([list(range(30)), list(range(40, 70))],
+                                                [list(range(40, 70)), list(range(30))])
 
 
 # -- minimizer_set --------------------------------------------------------------------
