@@ -297,12 +297,11 @@ def run_consistency(cfg: dict, seed: int):
         loop = random_loop(rng, n_min=16, n_max=64, jitter=0.15)
         gap = action_consistency(metric, factor, loop, resolution)
         a = action(metric, loop)
-        lip = factor.series.sup_gradient_norm(512)
+        lip = factor.sup_gradient_norm(512)
         # the gap subtracts two sums of size up to sup|lambda| * a, so it carries
         # rounding even when lip = 0 (a constant factor); sup|lambda| is
         # certified from the coefficients
-        lam_sup = abs(factor.series.const) + sum(math.hypot(c, s)
-                                                 for c, s in factor.series.modes.values())
+        lam_sup = abs(factor.const) + sum(math.hypot(c, s) for c, s in factor.modes.values())
         bound = lip * (np.sqrt(2.0) / resolution) * a + 1e-12 * (1.0 + lam_sup * a)
         if gap > bound:
             gap_ok = False
@@ -334,7 +333,7 @@ def run_semicontinuity(cfg: dict, seed: int):
         body = random_body(rng)
         f = Functional(_unit(rng, body.dimension))
         p = Functional(_unit(rng, body.dimension))
-        rep = semicontinuity_probe(f, body, [p], scales, tail_start=tail_k - k_lo)
+        rep = semicontinuity_probe(f, body, p, scales, tail_start=tail_k - k_lo)
         errs = rep.value_errors
         scale = 1.0 + abs(rep.base_value)
         p_vals = p(body.vertices)

@@ -33,23 +33,26 @@ class Fourier2D:
     __slots__ = ("const", "modes")
 
     def __init__(self, const: float = 0.0, modes: dict[Mode, tuple[float, float]] | None = None):
-        self.const = float(const)
-        self.modes: dict[Mode, tuple[float, float]] = {}
-        if modes:
-            for k, (a, b) in modes.items():
-                self._accumulate(k, float(a), float(b))
-        # a nan coefficient would pass the grid checks built on the series (nan <= 0.0 is False)
-        if not np.isfinite([self.const, *(c for ab in self.modes.values() for c in ab)]).all():
+        const = float(const)
+        canonical: dict[Mode, tuple[float, float]] = {}
+        for k, (a, b) in (modes or {}).items():
+            # int() would truncate 1.5 to 1 and fail on nan with a bare ValueError
+            if not all(float(c).is_integer() for c in k):
+                raise InputDomainError(f"Fourier wavenumbers must be integers, got {k!r}")
+            a, b = float(a), float(b)
+            if k[0] == 0 and k[1] == 0:
+                # sin(0) vanishes; the cosine part is a constant.
+                const += a
+                continue
+            ck, sign = _canonical(k)
+            a0, b0 = canonical.get(ck, (0.0, 0.0))
+            canonical[ck] = (a0 + a, b0 + sign * b)
+        # a nan coefficient would pass the grid checks built on the series (nan <= 0.0 is
+        # False); a sum, product or derivative of finite coefficients can overflow to inf
+        if not np.isfinite([const, *(c for ab in canonical.values() for c in ab)]).all():
             raise InputDomainError("Fourier coefficients must be finite")
-
-    def _accumulate(self, k: Mode, a: float, b: float) -> None:
-        if k[0] == 0 and k[1] == 0:
-            # sin(0) vanishes; the cosine part is a constant.
-            self.const += a
-            return
-        ck, sign = _canonical(k)
-        a0, b0 = self.modes.get(ck, (0.0, 0.0))
-        self.modes[ck] = (a0 + a, b0 + sign * b)
+        self.const = const
+        self.modes = canonical
 
     # -- evaluation ---------------------------------------------------------
 
@@ -66,12 +69,12 @@ class Fourier2D:
     # -- calculus -----------------------------------------------------------
 
     def _diff_once(self, axis: int) -> "Fourier2D":
-        out = Fourier2D(0.0)
-        for (kx, ky), (a, b) in self.modes.items():
-            f = TWO_PI * (kx if axis == 0 else ky)
+        modes = {}
+        for k, (a, b) in self.modes.items():
+            f = TWO_PI * k[axis]
             # d/dx [a cos(th) + b sin(th)] = f * (b cos(th) - a sin(th))
-            out._accumulate((kx, ky), f * b, -f * a)
-        return out
+            modes[k] = (f * b, -f * a)
+        return Fourier2D(0.0, modes)
 
     def derivative(self, nx: int, ny: int) -> "Fourier2D":
         """Exact partial derivative of order (nx, ny)."""
@@ -86,10 +89,11 @@ class Fourier2D:
 
     def __add__(self, other):
         if isinstance(other, Fourier2D):
-            out = Fourier2D(self.const + other.const, dict(self.modes))
+            modes = dict(self.modes)
             for k, (a, b) in other.modes.items():
-                out._accumulate(k, a, b)
-            return out
+                a0, b0 = modes.get(k, (0.0, 0.0))
+                modes[k] = (a0 + a, b0 + b)
+            return Fourier2D(self.const + other.const, modes)
         return Fourier2D(self.const + float(other), dict(self.modes))
 
     __radd__ = __add__
@@ -148,7 +152,7 @@ class Fourier2D:
         return True
 
     def __repr__(self):
-        return f"Fourier2D(const={self.const!r}, modes={self.modes!r})"
+        return f"{type(self).__name__}(const={self.const!r}, modes={self.modes!r})"
 
 
 def _product(f: Fourier2D, g: Fourier2D) -> Fourier2D:
@@ -173,16 +177,10 @@ def _to_complex(f: Fourier2D) -> dict[Mode, complex]:
 
 
 def _from_complex(c: dict[Mode, complex]) -> Fourier2D:
-    out = Fourier2D(0.0)
-    for k, z in c.items():
-        if k == (0, 0):
-            out.const += z.real
-            continue
-        ck, _ = _canonical(k)
-        if ck != k:
-            continue  # handled through the conjugate partner
-        out._accumulate(k, 2.0 * z.real, -2.0 * z.imag)
-    return out
+    # a non-canonical mode is the conjugate partner of a canonical one
+    modes = {k: (2.0 * z.real, -2.0 * z.imag) for k, z in c.items()
+             if k != (0, 0) and _canonical(k)[0] == k}
+    return Fourier2D(c[(0, 0)].real, modes)
 
 
 class FieldPass:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputDomainError, ResolutionMismatchError
-from .fourier import on_axes
+from .fourier import Fourier2D, on_axes
 from .loops import DiscreteLoop, LoopMeasure, action, loop_measure
 from .metrics import ConformalFactor, ConformalMetric, FinslerMetric
 
@@ -53,14 +53,14 @@ def pushforward(metric: FinslerMetric, mu: LoopMeasure, resolution: int) -> Grid
     return GridMeasure(grid)
 
 
-def pairing(factor: ConformalFactor, mu: GridMeasure) -> float:
-    """Integral of the factor against the grid measure (cell-center quadrature).
+def pairing(factor: Fourier2D, mu: GridMeasure) -> float:
+    """Integral of a series against the grid measure (cell-center quadrature).
 
-    The factor's values at the cell centres are one product of 1-D tables
+    The series' values at the cell centres are one product of 1-D tables
     on the centres' axes (`fourier.on_axes`); the grid is never built.
     """
     t = (np.arange(mu.resolution) + 0.5) / mu.resolution
-    (values,) = on_axes((factor.series,), t, t)
+    (values,) = on_axes((factor,), t, t)
     return float((values * mu.weights).sum())
 
 

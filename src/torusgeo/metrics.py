@@ -3,7 +3,10 @@
 Three variants are supported: Riemannian metrics with Fourier coefficient
 fields, Randers metrics (Riemannian norm plus a drift one-form with pointwise
 dual norm below one), and conformal rescalings sqrt(lambda) * F by a positive
-factor. All are positively homogeneous and strictly convex away from v = 0;
+factor. A conformal factor is a `Fourier2D` series that passed the positivity
+check of `ConformalFactor`, the one place positivity is verified; sums,
+products and derivatives of factors are plain series. All metrics are
+positively homogeneous and strictly convex away from v = 0;
 Randers metrics are not differentiable across the zero section; where a loop
 has coincident vertices (v = 0) their kernel gives F = 0 and the limit
 gradient 0.
@@ -29,40 +32,28 @@ def _as_series(c) -> Fourier2D:
     return Fourier2D(float(c))
 
 
-class ConformalFactor:
-    """A real function on T^2 as a truncated Fourier series.
+class ConformalFactor(Fourier2D):
+    """A series verified positive on the `_POSITIVITY_GRID` grid.
 
-    With ``require_positive=True`` (membership in the cone of admissible
-    conformal factors) positivity is verified on the `_POSITIVITY_GRID` grid
-    and ``positive`` is True; with the check disabled the same type
-    represents a plain smooth function and ``positive`` is False.
+    This is membership in the cone of admissible conformal factors. Sums,
+    products and derivatives of factors are plain `Fourier2D` series;
+    wrapping one in `ConformalFactor` checks it again.
     """
 
-    def __init__(self, series, require_positive: bool = True):
-        self.series = _as_series(series)
-        self.positive = bool(require_positive)
-        if require_positive:
-            m = self.series.min_on_grid(_POSITIVITY_GRID)
-            if m <= 0.0:
-                raise NotAConformalFactorError(
-                    f"factor is not positive on the verification grid (min = {m:g})"
-                )
+    __slots__ = ()
+
+    def __init__(self, series):
+        s = _as_series(series)
+        super().__init__(s.const, s.modes)
+        m = self.min_on_grid(_POSITIVITY_GRID)
+        if m <= 0.0:
+            raise NotAConformalFactorError(
+                f"factor is not positive on the verification grid (min = {m:g})"
+            )
 
     @classmethod
     def constant(cls, c: float) -> "ConformalFactor":
-        return cls(Fourier2D(c))
-
-    def __call__(self, pts):
-        return self.series(pts)
-
-    def __mul__(self, other):
-        if isinstance(other, ConformalFactor):
-            return ConformalFactor(self.series * other.series,
-                                   require_positive=self.positive and other.positive)
-        return NotImplemented
-
-    def __repr__(self):
-        return f"ConformalFactor({self.series!r}, require_positive={self.positive})"
+        return cls(c)
 
 
 class FinslerMetric:
@@ -225,23 +216,21 @@ class RandersMetric(FinslerMetric):
 class ConformalMetric(FinslerMetric):
     """sqrt(lambda(x)) * F_base(x, v) for a positive factor lambda.
 
-    Positivity is checked on the `_POSITIVITY_GRID` grid unless the factor
-    was already verified there (``factor.positive``).
+    A factor given as a plain series or number is verified as a
+    `ConformalFactor` first; a `ConformalFactor` is not checked again.
     """
 
     def __init__(self, base: FinslerMetric, factor: ConformalFactor):
         if not isinstance(factor, ConformalFactor):
             factor = ConformalFactor(factor)
-        if not factor.positive and factor.series.min_on_grid(_POSITIVITY_GRID) <= 0.0:
-            raise NotAConformalFactorError("conformal factor must be positive")
         self.base = base
         self.factor = factor
-        self._dlam = (factor.series.derivative(1, 0), factor.series.derivative(0, 1))
+        self._dlam = (factor.derivative(1, 0), factor.derivative(0, 1))
         self._dlam_live = tuple(not d.vanishes() for d in self._dlam)
         self._build_passes()
 
     def _fields(self, grads):
-        own = (self.factor.series,) + (self._dlam if grads else ())
+        own = (self.factor,) + (self._dlam if grads else ())
         return own + self.base._fields(grads)
 
     def _speed(self, vals, v):
@@ -349,7 +338,7 @@ def comparison_constant(metric: FinslerMetric, grid_resolution: int = 32) -> flo
     return c * _COMPARISON_INFLATION
 
 
-def seminorm_distance(f: ConformalFactor, g: ConformalFactor, k_max: int = 8) -> float:
+def seminorm_distance(f: Fourier2D, g: Fourier2D, k_max: int = 8) -> float:
     """The translation-invariant metric sum_k 2^-k |f-g|_k / (1 + |f-g|_k).
 
     |.|_k is the C^k norm: the max over the `_SEMINORM_GRID` grid of all partial
@@ -358,7 +347,7 @@ def seminorm_distance(f: ConformalFactor, g: ConformalFactor, k_max: int = 8) ->
     """
     if k_max < 0:
         raise InputDomainError("k_max must be >= 0")
-    d = f.series - g.series
+    d = f - g
     total = 0.0
     norm_k = 0.0
     for k in range(k_max + 1):

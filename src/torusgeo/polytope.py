@@ -129,9 +129,9 @@ class ProbeReport:
         return self.diameter_violations == 0
 
 
-def semicontinuity_probe(f: Functional, body: ConvexBody, perturbations, scales,
+def semicontinuity_probe(f: Functional, body: ConvexBody, perturbation: Functional, scales,
                          tail_start: int | None = None) -> ProbeReport:
-    """Evaluate m and the argmin diameter along f + scale_n * perturbation_n.
+    """Evaluate m and the argmin diameter along f + scale_n * perturbation.
 
     Checks the two stability facts that make the uniqueness sets open: the
     minimum value converges (|m(f_n) - m(f)| -> 0) and the argmin diameter is
@@ -141,15 +141,10 @@ def semicontinuity_probe(f: Functional, body: ConvexBody, perturbations, scales,
     scales = [float(s) for s in scales]
     if any(s2 >= s1 for s1, s2 in zip(scales, scales[1:])) or (scales and scales[-1] <= 0):
         raise InputDomainError("scales must be strictly decreasing and positive")
-    perts = list(perturbations)
-    if len(perts) == 1:
-        perts = perts * len(scales)
-    if len(perts) != len(scales):
-        raise InputDomainError("need one perturbation, or one per scale")
     base = argmin_set(f, body)
     errors, diams = [], []
-    for p, s in zip(perts, scales):
-        a = argmin_set(f + s * p, body)
+    for s in scales:
+        a = argmin_set(f + s * perturbation, body)
         errors.append(abs(a.value - base.value))
         diams.append(a.diameter)
     if tail_start is None:

@@ -1,6 +1,8 @@
 """Config parsing, metric construction from configs, and the CLI runner."""
 import json
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -88,6 +90,28 @@ def write(tmp_path, name, text):
 def read_report(path):
     with open(path, encoding="utf-8") as fh:
         return [json.loads(ln) for ln in fh if ln.strip()]
+
+
+def readme_ini_blocks():
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    return re.findall(r"```ini\n(.*?)```", text, flags=re.DOTALL)
+
+
+def test_readme_experiment_example_runs(tmp_path):
+    experiment, _ = readme_ini_blocks()
+    out = str(tmp_path / "readme.jsonl")
+    assert main(["run", write(tmp_path, "readme.cfg", experiment), "--out", out]) == 0
+    assert read_report(out)[-1]["summary"]["pass"] is True
+
+
+def test_readme_metric_example_builds_its_formula():
+    _, metric = readme_ini_blocks()
+    m = metric_from_config(parse_config(metric))
+    rng = np.random.default_rng(23)
+    for x, v in zip(rng.random((5, 2)), rng.standard_normal((5, 2))):
+        lam = 1.1 - 0.05 * np.cos(2 * np.pi * x[1])
+        expected = np.sqrt(lam) * (np.hypot(*v) + 0.3 * v[0])
+        assert evaluate(m, x, v) == pytest.approx(expected, rel=1e-14)
 
 
 def test_run_semicontinuity_small(tmp_path):

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from torusgeo.errors import InputDomainError
 from torusgeo.fourier import FieldPass, Fourier2D, on_axes, on_grid
+from torusgeo.metrics import ConformalFactor
 
 
 def rand_series(rng, n_modes=3, kmax=2, amp=1.0):
@@ -73,6 +74,34 @@ def test_non_finite_coefficient_rejected(const, modes):
 def test_overflowing_scaling_rejected():
     with pytest.raises(InputDomainError):
         10.0 * Fourier2D(1.0, {(1, 0): (1e308, 0.0)})
+
+
+# finite coefficients whose sum, product or derivative overflows to inf
+HUGE = Fourier2D(1.0, {(1, 0): (1e308, 0.0)})
+
+
+@pytest.mark.parametrize("build", [
+    lambda: HUGE + HUGE,
+    lambda: HUGE * HUGE,
+    lambda: Fourier2D(0, {(1, 0): (1e308, 0)}).derivative(1, 0),
+    lambda: ConformalFactor(HUGE + HUGE),
+], ids=["sum", "product", "derivative", "factor-of-sum"])
+def test_overflowing_algebra_rejected(build):
+    with pytest.raises(InputDomainError, match="finite"):
+        build()
+
+
+@pytest.mark.parametrize("k", [(1.5, 0), (-0.5, 0), (np.nan, 0)], ids=["1.5", "-0.5", "nan"])
+def test_non_integer_wavenumber_rejected(k):
+    # int() alone makes 1.5 mode 1 and -0.5 mode (0, 0), and fails on nan with a bare ValueError
+    with pytest.raises(InputDomainError, match="integers"):
+        Fourier2D(1.0, {k: (1.0, 0.0)})
+
+
+def test_integral_wavenumbers_of_any_type_accepted():
+    f = Fourier2D(0.0, {(np.int64(2), 0): (1.0, 0.0), (0.0, -1.0): (0.0, 1.0)})
+    assert f.modes == {(2, 0): (1.0, 0.0), (0, 1): (0.0, -1.0)}
+    assert all(type(c) is int for k in f.modes for c in k)
 
 
 def test_product_pointwise():

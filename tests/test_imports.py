@@ -75,3 +75,34 @@ def test_no_unread_private_names():
     package = ROOT / "src" / "torusgeo"
     sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(package.glob("*.py"))}
     assert unread_private_names(sources) == []
+
+
+def settable_values(source: str) -> int:
+    """Defaulted parameters plus defaulted fields of `@dataclass` classes in `source`.
+
+    Each is a value a caller can set; a constant no caller sets is a module name instead.
+    """
+    count = 0
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            count += len(node.args.defaults) + sum(d is not None for d in node.args.kw_defaults)
+        elif isinstance(node, ast.ClassDef) and any(
+                getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+                for d in node.decorator_list):
+            count += sum(isinstance(s, ast.AnnAssign) and s.value is not None for s in node.body)
+    return count
+
+
+def test_settable_values_counted():
+    source = ("from dataclasses import dataclass\n"
+              "def f(a, b=1, *, c, d=2):\n    return lambda x=0: x\n"
+              "@dataclass(frozen=True)\nclass C:\n    x: int\n    y: int = 0\n"
+              "class D:\n    z: int = 0\n")
+    assert settable_values(source) == 4
+
+
+def test_settable_value_count_is_pinned():
+    # adding or removing a knob changes this number in the same diff
+    package = ROOT / "src" / "torusgeo"
+    assert sum(settable_values(path.read_text(encoding="utf-8"))
+               for path in sorted(package.glob("*.py"))) == 46

@@ -106,7 +106,7 @@ def test_pairing_bilinear():
     f1 = ConformalFactor(Fourier2D(1.0, {(1, 0): (0.2, 0.0)}))
     f2 = ConformalFactor(Fourier2D(1.5, {(0, 1): (0.0, 0.3)}))
     a, b = 2.0, -0.5
-    combo = ConformalFactor(a * f1.series + b * f2.series, require_positive=False)
+    combo = a * f1 + b * f2  # a plain series
     lhs = pairing(combo, mu)
     rhs = a * pairing(f1, mu) + b * pairing(f2, mu)
     assert lhs == pytest.approx(rhs, abs=1e-12)
@@ -127,11 +127,9 @@ def test_bump_off_support_pairs_to_zero():
     loop = DiscreteLoop.straight((1, 0), res, offset=(0.0, 0.1))
     mu = pushforward(euclidean(), measure_of(loop), res)
     c = (int(0.1 * res) + 0.5) / res
-    bump = ConformalFactor(Fourier2D(0.5, {(0, 1): (-0.5 * np.cos(2 * np.pi * c),
-                                                    -0.5 * np.sin(2 * np.pi * c))}),
-                           require_positive=False)
+    bump = Fourier2D(0.5, {(0, 1): (-0.5 * np.cos(2 * np.pi * c), -0.5 * np.sin(2 * np.pi * c))})
     # bump(y) = 0.5 * (1 - cos(2 pi (y - c)))
-    assert float(bump.series(np.array([0.0, c]))) == pytest.approx(0.0, abs=1e-15)
+    assert float(bump(np.array([0.0, c]))) == pytest.approx(0.0, abs=1e-15)
     assert pairing(bump, mu) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -169,7 +167,7 @@ def test_consistency_within_lipschitz_bound():
         base = DiscreteLoop.straight((1, 0), 32)
         loop = DiscreteLoop(base.vertices + 0.02 * rng.standard_normal((32, 2)), (1, 0))
         gap = action_consistency(euclidean(), factor, loop, resolution=256)
-        lip = factor.series.sup_gradient_norm(512)
+        lip = factor.sup_gradient_norm(512)
         bound = lip * (np.sqrt(2.0) / 256) * action(euclidean(), loop)
         assert gap <= bound
 

@@ -178,14 +178,13 @@ def test_nonpositive_factor_rejected():
     with pytest.raises(NotAConformalFactorError):
         ConformalFactor(Fourier2D(0.5, {(0, 1): (1.0, 0.0)}))
     with pytest.raises(NotAConformalFactorError):
-        ConformalMetric(euclidean(), ConformalFactor(
-            Fourier2D(0.5, {(0, 1): (1.0, 0.0)}), require_positive=False))
+        ConformalMetric(euclidean(), Fourier2D(0.5, {(0, 1): (1.0, 0.0)}))
 
 
 @pytest.mark.parametrize("build", [
     lambda: ConformalFactor(Fourier2D(np.nan)),
     lambda: ConformalFactor(Fourier2D(np.inf)),
-    lambda: ConformalFactor(np.nan, require_positive=False),
+    lambda: ConformalMetric(euclidean(), np.nan),
     lambda: ConformalMetric(euclidean(), ConformalFactor(Fourier2D(np.nan))),
     lambda: RiemannianMetric(np.nan, 0.0, 1.0),
     lambda: RandersMetric(euclidean(), (np.nan, 0.0)),
@@ -201,8 +200,7 @@ def test_non_finite_coefficients_rejected(build):
 
 def test_unverified_factor_dipping_below_zero_still_raises():
     # 0.05 + cos(2 pi x) is negative on a third of the torus
-    dips = ConformalFactor(Fourier2D(0.05, {(1, 0): (1.0, 0.0)}), require_positive=False)
-    assert not dips.positive
+    dips = Fourier2D(0.05, {(1, 0): (1.0, 0.0)})
     with pytest.raises(NotAConformalFactorError):
         ConformalMetric(euclidean(), dips)
 
@@ -220,7 +218,7 @@ def test_verified_factor_evaluates_no_further_grid(monkeypatch):
     m = ConformalMetric(base, lam)
     assert calls == []
     assert m.speed(np.array([0.0, 0.0]), np.array([1.0, 0.0])) == pytest.approx(np.sqrt(1.2))
-    ConformalFactor(lam.series)  # the counter sees a positivity check
+    ConformalFactor(lam)  # the counter sees a positivity check
     assert calls
 
 
@@ -245,25 +243,21 @@ def test_scaled_metric_keeps_invariants():
 
 # -- seminorm distance -----------------------------------------------------------
 
-def plain(series):
-    return ConformalFactor(series, require_positive=False)
-
-
 def test_seminorm_identity_of_indiscernibles():
-    f = plain(Fourier2D(0.3, {(1, 0): (0.2, -0.1)}))
+    f = Fourier2D(0.3, {(1, 0): (0.2, -0.1)})
     assert seminorm_distance(f, f) == 0.0
 
 
 def test_seminorm_bounded_by_two():
-    f = plain(Fourier2D(100.0, {(2, 2): (50.0, 0.0)}))
-    g = plain(Fourier2D(-3.0))
+    f = Fourier2D(100.0, {(2, 2): (50.0, 0.0)})
+    g = Fourier2D(-3.0)
     assert seminorm_distance(f, g, k_max=40) < 2.0
 
 
 def test_seminorm_constant_offset_closed_form():
     # f - g constant delta: every C^k norm is delta
     delta = 0.7
-    f, g = plain(Fourier2D(1.0 + delta)), plain(Fourier2D(1.0))
+    f, g = Fourier2D(1.0 + delta), Fourier2D(1.0)
     k_max = 8
     expected = sum(2.0 ** (-k) for k in range(k_max + 1)) * delta / (1 + delta)
     assert seminorm_distance(f, g, k_max=k_max) == pytest.approx(expected, abs=1e-14)
@@ -272,9 +266,8 @@ def test_seminorm_constant_offset_closed_form():
 def test_seminorm_metric_axioms():
     rng = np.random.default_rng(19)
     for _ in range(10):
-        fs = [plain(Fourier2D(rng.uniform(-1, 1),
-                              {(1, 0): (rng.uniform(-1, 1), 0.0),
-                               (0, 1): (0.0, rng.uniform(-1, 1))}))
+        fs = [Fourier2D(rng.uniform(-1, 1),
+                        {(1, 0): (rng.uniform(-1, 1), 0.0), (0, 1): (0.0, rng.uniform(-1, 1))})
               for _ in range(3)]
         dab = seminorm_distance(fs[0], fs[1])
         dba = seminorm_distance(fs[1], fs[0])
@@ -303,13 +296,13 @@ def _reference_kernel(metric, x, v):
     """F and the gradients of F^2 by per-field formulas, each field evaluated on its own."""
     vx, vy = v[..., 0], v[..., 1]
     if isinstance(metric, ConformalMetric):
-        lam = metric.factor.series(x)
+        lam = metric.factor(x)
         fb, bx, bv = _reference_kernel(metric.base, x, v)
         gv = lam[..., None] * bv
         gx = lam[..., None] * bx
         fb2 = fb ** 2
-        gx[..., 0] += metric.factor.series.derivative(1, 0)(x) * fb2
-        gx[..., 1] += metric.factor.series.derivative(0, 1)(x) * fb2
+        gx[..., 0] += metric.factor.derivative(1, 0)(x) * fb2
+        gx[..., 1] += metric.factor.derivative(0, 1)(x) * fb2
         return np.sqrt(lam) * fb, gx, gv
     if isinstance(metric, RandersMetric):
         s, rx, rv = _reference_kernel(metric.riemannian, x, v)

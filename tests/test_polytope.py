@@ -139,7 +139,7 @@ def test_all_active_argmin_returns_pairwise_diameter_computed_once(monkeypatch):
 def test_probe_stable_unique_minimizer():
     scales = [2.0 ** (-k) for k in range(1, 15)]
     rep = semicontinuity_probe(Functional((1.0, 1.0)), SQUARE,
-                               [Functional((0.3, -0.2))], scales)
+                               Functional((0.3, -0.2)), scales)
     assert rep.tail_max_error <= scales[len(scales) // 2]
     assert rep.diameter_violations == 0
     assert rep.passed
@@ -149,7 +149,7 @@ def test_probe_strict_diameter_drop():
     # perturbing an edge-aligned functional exposes a single corner
     scales = [2.0 ** (-k) for k in range(1, 12)]
     rep = semicontinuity_probe(Functional((1.0, 0.0)), SQUARE,
-                               [Functional((0.0, 1.0))], scales)
+                               Functional((0.0, 1.0)), scales)
     assert rep.base_diameter == pytest.approx(1.0)
     assert all(d == 0.0 for d in rep.diameters)
     assert rep.diameter_violations == 0
@@ -158,7 +158,7 @@ def test_probe_strict_diameter_drop():
 def test_probe_rejects_bad_scales():
     with pytest.raises(InputDomainError):
         semicontinuity_probe(Functional((1.0, 0.0)), SQUARE,
-                             [Functional((0.0, 1.0))], [0.5, 0.5])
+                             Functional((0.0, 1.0)), [0.5, 0.5])
 
 
 def test_probe_random_bodies_no_violations():
@@ -168,7 +168,7 @@ def test_probe_random_bodies_no_violations():
         body = random_body(rng)
         f = Functional(rng.standard_normal(body.dimension))
         p = Functional(rng.standard_normal(body.dimension))
-        rep = semicontinuity_probe(f, body, [p], scales)
+        rep = semicontinuity_probe(f, body, p, scales)
         assert rep.diameter_violations == 0
 
 
