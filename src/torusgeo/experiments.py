@@ -162,7 +162,7 @@ def run_uniqueness(cfg: dict, seed: int):
     for t in ts:
         metric = euclidean() if t == 0.0 else ConformalMetric(euclidean(), height_bump(t, center))
         rep = minimizer_set(metric, gamma, scfg)
-        capped = capped and all(verify_speed_cap(metric, c.representative, gamma)
+        capped = capped and all(verify_speed_cap(metric, c.representative)
                                 for c in rep.clusters)
         best = rep.clusters[0].representative
         rec = {
@@ -228,25 +228,28 @@ def run_cs_property(cfg: dict, seed: int):
 
 def run_speed_cap(cfg: dict, seed: int):
     scfg = _solver_config(cfg, seed)
+    # each case's exact minimum length: |gamma|, |gamma| + 0.3 p for the drift
+    # (0.3, 0) on gamma = (p, q), and 1 for the bump, a factor >= 1 with equality on its trough
     cases = [
-        ("euclidean", euclidean(), (1, 0)),
-        ("euclidean", euclidean(), (1, 1)),
-        ("euclidean", euclidean(), (2, 1)),
-        ("euclidean", euclidean(), (3, 4)),
-        ("randers", RandersMetric(euclidean(), (0.3, 0.0)), (1, 0)),
-        ("randers", RandersMetric(euclidean(), (0.3, 0.0)), (-1, 0)),
-        ("conformal", ConformalMetric(euclidean(), height_bump(0.2)), (1, 0)),
+        ("euclidean", euclidean(), (1, 0), 1.0),
+        ("euclidean", euclidean(), (1, 1), math.sqrt(2.0)),
+        ("euclidean", euclidean(), (2, 1), math.sqrt(5.0)),
+        ("euclidean", euclidean(), (3, 4), 5.0),
+        ("randers", RandersMetric(euclidean(), (0.3, 0.0)), (1, 0), 1.3),
+        ("randers", RandersMetric(euclidean(), (0.3, 0.0)), (-1, 0), 0.7),
+        ("conformal", ConformalMetric(euclidean(), height_bump(0.2)), (1, 0), 1.0),
     ]
     records = []
-    ok = True
-    for name, metric, gamma in cases:
+    ok = exact = True
+    for name, metric, gamma, minimum in cases:
         res = shortest_loop(metric, gamma, scfg)
-        passed = res.converged and verify_speed_cap(metric, res.loop, gamma)
+        passed = res.converged and verify_speed_cap(metric, res.loop)
         ok = ok and passed
+        exact = exact and abs(res.length - minimum) <= 5e-3 * minimum
         records.append({"kind": "speed-cap", "metric": name, "gamma": list(gamma),
                         "length": res.length, "converged": res.converged,
                         "cap_respected": passed})
-    return records, {"all_caps_respected": ok}
+    return records, {"all_caps_respected": ok, "lengths_exact": exact}
 
 
 def run_mane_polytope(cfg: dict, seed: int):

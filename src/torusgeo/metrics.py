@@ -23,6 +23,7 @@ _POSITIVITY_GRID = 128
 _SEMINORM_GRID = 64
 _HESSIAN_STEP = 1e-4  # finite-difference step of `fiber_hessian`, relative to |v|
 _CONVEXITY_TOL = 1e-6
+_COMPARISON_GRID = 32
 _COMPARISON_INFLATION = 1.01
 
 
@@ -163,8 +164,7 @@ def euclidean() -> RiemannianMetric:
 class RandersMetric(FinslerMetric):
     """F(x, v) = |v|_g + beta_x(x) vx + beta_y(x) vy, with |beta|_{g*} < 1."""
 
-    def __init__(self, riemannian: RiemannianMetric | None = None, beta=(0.0, 0.0),
-                 validate: bool = True):
+    def __init__(self, riemannian: RiemannianMetric | None = None, beta=(0.0, 0.0)):
         self.riemannian = riemannian if riemannian is not None else euclidean()
         self.beta_x, self.beta_y = (_as_series(beta[0]), _as_series(beta[1]))
         # (d beta_x, d beta_y) along x, then along y
@@ -173,16 +173,15 @@ class RandersMetric(FinslerMetric):
         self._db_live = tuple(not (self._db[2 * i].vanishes() and self._db[2 * i + 1].vanishes())
                               for i in (0, 1))
         self._build_passes()
-        if validate:
-            a, b, c, bx, by = on_grid(self.riemannian._fields(False) + (self.beta_x, self.beta_y),
-                                      _VALIDATION_GRID)
-            det = a * c - b * b
-            # dual norm: beta g^{-1} beta
-            dual = (c * bx ** 2 - 2.0 * b * bx * by + a * by ** 2) / det
-            if dual.max() >= 1.0:
-                raise InvalidMetricError(
-                    f"Randers drift has dual norm >= 1 somewhere (max = {np.sqrt(dual.max()):g})"
-                )
+        a, b, c, bx, by = on_grid(self.riemannian._fields(False) + (self.beta_x, self.beta_y),
+                                  _VALIDATION_GRID)
+        det = a * c - b * b
+        # dual norm: beta g^{-1} beta
+        dual = (c * bx ** 2 - 2.0 * b * bx * by + a * by ** 2) / det
+        if dual.max() >= 1.0:
+            raise InvalidMetricError(
+                f"Randers drift has dual norm >= 1 somewhere (max = {np.sqrt(dual.max()):g})"
+            )
 
     def _fields(self, grads):
         return (self.riemannian._fields(grads) + (self.beta_x, self.beta_y)
@@ -320,16 +319,15 @@ def verify_convexity(metric: FinslerMetric, sample_count: int = 256,
     return ConvexityReport(lam_min[i], x[i], v[i], _CONVEXITY_TOL)
 
 
-def comparison_constant(metric: FinslerMetric, grid_resolution: int = 32) -> float:
+def comparison_constant(metric: FinslerMetric) -> float:
     """Smallest sampled c >= 1 with F/c <= |.| <= c*F, inflated by `_COMPARISON_INFLATION`.
 
-    The sampled sup underestimates the true sup; the inflated constant only
-    needs to be valid, not tight.
+    F is sampled at `_COMPARISON_GRID`^2 points in as many unit directions; the
+    sampled sup underestimates the true sup, and the inflated constant only
+    needs to be valid, not tight. The preconditioner and the speed caps read it.
     """
-    if grid_resolution < 8:
-        raise InputDomainError("grid_resolution must be >= 8")
-    pts = Fourier2D.grid(grid_resolution).reshape(-1, 2)
-    th = np.arange(grid_resolution) * 2.0 * np.pi / grid_resolution
+    pts = Fourier2D.grid(_COMPARISON_GRID).reshape(-1, 2)
+    th = np.arange(_COMPARISON_GRID) * 2.0 * np.pi / _COMPARISON_GRID
     dirs = np.stack([np.cos(th), np.sin(th)], axis=-1)
     f = metric.speed(pts[:, None, :], dirs[None, :, :])
     if f.min() < 1e-9:

@@ -136,20 +136,23 @@ def semicontinuity_probe(f: Functional, body: ConvexBody, perturbation: Function
     Checks the two stability facts that make the uniqueness sets open: the
     minimum value converges (|m(f_n) - m(f)| -> 0) and the argmin diameter is
     upper semicontinuous (diam M(f_n) <= diam M(f) + DEFAULT_TOL for small
-    scales).
+    scales). The small scales are the tail scales[tail_start:], which must
+    hold at least one scale; tail_start defaults to half the scales.
     """
     scales = [float(s) for s in scales]
     if any(s2 >= s1 for s1, s2 in zip(scales, scales[1:])) or (scales and scales[-1] <= 0):
         raise InputDomainError("scales must be strictly decreasing and positive")
+    if tail_start is None:
+        tail_start = len(scales) // 2
+    if not 0 <= tail_start < len(scales):
+        raise InputDomainError(f"tail_start {tail_start} indexes none of the {len(scales)} scales")
     base = argmin_set(f, body)
     errors, diams = [], []
     for s in scales:
         a = argmin_set(f + s * perturbation, body)
         errors.append(abs(a.value - base.value))
         diams.append(a.diameter)
-    if tail_start is None:
-        tail_start = len(scales) // 2
-    tail_max = max(errors[tail_start:], default=0.0)
+    tail_max = max(errors[tail_start:])
     violations = sum(1 for d in diams[tail_start:] if d > base.diameter + DEFAULT_TOL)
     return ProbeReport(base_value=base.value, base_diameter=base.diameter,
                        scales=tuple(scales), value_errors=tuple(errors),

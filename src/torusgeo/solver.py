@@ -36,7 +36,6 @@ _ARMIJO = 1e-4
 _LENGTH_TOL_REL = 1e-3
 _JITTER = 0.05
 _PRECOND_SHIFT = 0.5
-_CAP_GRID = 64  # comparison-constant grid behind the speed caps
 
 
 @dataclass(frozen=True)
@@ -67,14 +66,14 @@ def min_reference_length(winding: tuple[int, int]) -> float:
 
 def speed_bound(metric: FinslerMetric, winding: tuple[int, int]) -> float:
     """A-priori reference-speed bound c_F^2 * min-class-length for F-minimizers."""
-    c = comparison_constant(metric, _CAP_GRID)
+    c = comparison_constant(metric)
     return c * c * min_reference_length(winding)
 
 
-def verify_speed_cap(metric: FinslerMetric, loop: DiscreteLoop, winding: tuple[int, int]) -> bool:
-    """True iff every segment speed respects the a-priori bound (tiny slack for roundoff)."""
+def verify_speed_cap(metric: FinslerMetric, loop: DiscreteLoop) -> bool:
+    """True iff every segment speed is within the `speed_bound` of the loop's own class."""
     top = float(np.linalg.norm(loop.velocities, axis=1).max())
-    return top <= speed_bound(metric, winding) * (1.0 + 1e-6)
+    return top <= speed_bound(metric, loop.winding) * (1.0 + 1e-6)
 
 
 def _evaluate(metric: FinslerMetric, x: np.ndarray, winding) -> tuple[np.ndarray, np.ndarray]:
@@ -151,7 +150,7 @@ def _descend(metric: FinslerMetric, winding: tuple[int, int], config: SolverConf
     x = np.array(x0, dtype=float)
     _require_finite(x)
     n_starts, n = x.shape[:2]
-    kappa = comparison_constant(metric, grid_resolution=16) ** 2
+    kappa = comparison_constant(metric) ** 2
     symbol = _precond_factors(n, kappa)
     a, grad = _evaluate(metric, x, winding)
     histories = [[float(ai)] for ai in a]

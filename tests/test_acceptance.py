@@ -2,26 +2,17 @@
 
 Each test prints `criterion <n>: PASS|FAIL` before asserting, so the full
 verdict table is visible in the captured output even when a criterion fails.
-Criteria 3, 4, 6, 7, 8 and 9 run their experiments through the runners
-behind `torusgeo run` at their default configs, so each claim has one
-definition.
-Expensive solves are shared through module-scoped fixtures.
+Criteria 1 to 4 and 6 to 9 run their experiments through the runners
+behind `torusgeo run`, so each claim has one definition: criteria 1, 2 and 4
+read one `speed-cap` run on 128-vertex loops, the others run at their
+default configs. Expensive runs are shared through module-scoped fixtures.
 """
 import time
 
 import numpy as np
 import pytest
 
-from torusgeo import (
-    DiscreteLoop,
-    RandersMetric,
-    SolverConfig,
-    action,
-    action_gradient,
-    euclidean,
-    shortest_loop,
-    verify_speed_cap,
-)
+from torusgeo import DiscreteLoop, action, action_gradient
 from torusgeo.cli import main
 from torusgeo.experiments import (
     height_bump,
@@ -31,11 +22,10 @@ from torusgeo.experiments import (
     run_cs_property,
     run_mane_polytope,
     run_semicontinuity,
+    run_speed_cap,
     run_uniqueness,
     torus_gap,
 )
-
-FLAT_CLASSES = ((1, 0), (1, 1), (2, 1), (3, 4))
 
 
 def verdict(n, ok, detail=""):
@@ -45,21 +35,10 @@ def verdict(n, ok, detail=""):
 
 
 @pytest.fixture(scope="module")
-def flat_solves():
-    cfg = SolverConfig(n_vertices=128, max_iters=4000, grad_tol=1e-7, seed=0)
-    out = {}
-    for gamma in FLAT_CLASSES:
-        t0 = time.perf_counter()
-        res = shortest_loop(euclidean(), gamma, cfg)
-        out[gamma] = (res, time.perf_counter() - t0)
-    return out
-
-
-@pytest.fixture(scope="module")
-def randers_solves():
-    metric = RandersMetric(euclidean(), (0.3, 0.0))
-    cfg = SolverConfig(n_vertices=128, max_iters=4000, grad_tol=1e-7, seed=0)
-    return metric, {g: shortest_loop(metric, g, cfg) for g in ((1, 0), (-1, 0))}
+def speed_cap_run():
+    t0 = time.perf_counter()
+    records, checks = run_speed_cap({"solver.n_vertices": 128, "solver.max_iters": 4000}, 0)
+    return records, checks, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="module")
@@ -69,23 +48,18 @@ def uniqueness_run():
     return records, checks, time.perf_counter() - t0
 
 
-def test_criterion_1_flat_ground_truth(flat_solves):
-    ok = True
-    worst = 0.0
-    for (p, q), (res, elapsed) in flat_solves.items():
-        exact = float(np.hypot(p, q))
-        rel = abs(res.length - exact) / exact
-        worst = max(worst, rel)
-        ok = ok and res.converged and rel <= 5e-3 and elapsed <= 5.0
-    verdict(1, ok, f"max relative length error {worst:.2e}")
+def test_criterion_1_flat_ground_truth(speed_cap_run):
+    records, checks, elapsed = speed_cap_run
+    flat = [r for r in records if r["metric"] == "euclidean"]
+    ok = checks["lengths_exact"] and all(r["converged"] for r in flat) and elapsed <= 5.0
+    verdict(1, ok, f"lengths {[round(r['length'], 6) for r in flat]}, {elapsed:.1f} s")
 
 
-def test_criterion_2_randers_non_reversibility(randers_solves):
-    _, solves = randers_solves
-    fwd, bwd = solves[(1, 0)].length, solves[(-1, 0)].length
-    ok = (abs(fwd - 1.3) <= 5e-3 * 1.3
-          and abs(bwd - 0.7) <= 5e-3 * 0.7
-          and abs((fwd - bwd) - 0.6) <= 1e-2)
+def test_criterion_2_randers_non_reversibility(speed_cap_run):
+    records, checks, _ = speed_cap_run
+    lengths = {tuple(r["gamma"]): r["length"] for r in records if r["metric"] == "randers"}
+    fwd, bwd = lengths[(1, 0)], lengths[(-1, 0)]
+    ok = checks["lengths_exact"] and abs((fwd - bwd) - 0.6) <= 1e-2
     verdict(2, ok, f"lengths {fwd:.6f} / {bwd:.6f}")
 
 
@@ -98,19 +72,11 @@ def test_criterion_3_cauchy_schwarz_suite():
                    f"residual {rec['max_relative_gap_after_reparam']:.1e}, {elapsed:.1f} s")
 
 
-def test_criterion_4_speed_caps(flat_solves, randers_solves, uniqueness_run):
-    checked = 0
-    ok = True
-    for gamma, (res, _) in flat_solves.items():
-        ok = ok and verify_speed_cap(euclidean(), res.loop, gamma)
-        checked += 1
-    metric, solves = randers_solves
-    for gamma, res in solves.items():
-        ok = ok and verify_speed_cap(metric, res.loop, gamma)
-        checked += 1
+def test_criterion_4_speed_caps(speed_cap_run, uniqueness_run):
+    cap_records, cap_checks, _ = speed_cap_run
     records, checks, _ = uniqueness_run
-    ok = ok and checks["minimizers_within_speed_cap"]
-    checked += sum(r["n_clusters"] for r in records)
+    ok = cap_checks["all_caps_respected"] and checks["minimizers_within_speed_cap"]
+    checked = len(cap_records) + sum(r["n_clusters"] for r in records)
     verdict(4, ok, f"{checked} minimizers checked, zero violations" if ok
             else f"violation among {checked} minimizers")
 

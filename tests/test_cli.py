@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from torusgeo import evaluate
+from torusgeo import DiscreteLoop, evaluate
 from torusgeo.cli import main
 from torusgeo.config import (
     get_float,
@@ -220,6 +220,18 @@ def test_run_zero_trials_exits_2(tmp_path, experiment):
     assert main(["run", cfg, "--out", str(tmp_path / "x.jsonl")]) == 2
 
 
+@pytest.mark.parametrize("setting", ["tail_k = 0", "tail_k = -3", "tail_k = 25",
+                                     "k_max = 5", "k_max = 0"])
+def test_run_semicontinuity_tail_outside_scales_exits_2(tmp_path, capsys, setting):
+    # the tail starts at scale 2^-tail_k of 2^-1 ... 2^-k_max (default 10 of 20)
+    cfg = write(tmp_path, "tail.cfg", f"experiment = semicontinuity\ntrials = 2\n{setting}\n")
+    out = tmp_path / "tail.jsonl"
+    assert main(["run", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("torusgeo: error: tail_start ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_run_consistency_constant_factor_trial_passes(tmp_path):
     # trial 16 at seed 1 draws a constant factor: its Lipschitz bound is 0 and
     # the gap is pure rounding (2.2e-16), which the bound must allow
@@ -290,6 +302,21 @@ def test_cs_property_evaluates_each_loop_once(monkeypatch):
     # per loop, outside the reparametrization: the input loop's action and
     # length (its cs_gap), then the reparametrized loop's action and length
     assert len(calls) == 3 * 4
+
+
+def test_speed_cap_lengths_exact_catches_a_long_loop(monkeypatch):
+    from torusgeo import experiments
+
+    def solve(metric, gamma, config, _real=experiments.shortest_loop):
+        # the bump's crest line is a closed geodesic of length sqrt(1.2), not its trough's 1
+        crest = DiscreteLoop.straight(gamma, config.n_vertices, offset=(0.0, 0.75))
+        return _real(metric, gamma, config,
+                     crest if isinstance(metric, experiments.ConformalMetric) else None)
+
+    monkeypatch.setattr(experiments, "shortest_loop", solve)
+    records, checks = experiments.run_speed_cap({}, 0)
+    assert records[-1]["length"] == pytest.approx(np.sqrt(1.2))
+    assert checks == {"all_caps_respected": True, "lengths_exact": False}
 
 
 def test_reports_reproducible_modulo_timestamp(tmp_path):

@@ -104,12 +104,9 @@ def test_randers_half_drift_convex():
     assert verify_convexity(m, sample_count=256, seed=1).passed
 
 
-def test_invalid_randers_rejected_and_negative_without_checks():
+def test_invalid_randers_rejected():
     with pytest.raises(InvalidMetricError):
         RandersMetric(euclidean(), (1.2, 0.0))
-    m = RandersMetric(euclidean(), (1.2, 0.0), validate=False)
-    # opposing the drift makes F negative
-    assert m.speed(np.array([0.5, 0.5]), np.array([-1.0, 0.0])) < 0.0
 
 
 def test_riemannian_positive_definiteness_enforced():
@@ -151,7 +148,7 @@ def test_sandwich_inequality_bulk():
 
 def test_degenerate_metric_rejected():
     # F(-1, 0) = 1e-10: vanishes on a unit vector up to sampling tolerance
-    m = RandersMetric(euclidean(), (1.0 - 1e-10, 0.0), validate=False)
+    m = RandersMetric(euclidean(), (1.0 - 1e-10, 0.0))
     with pytest.raises(InvalidMetricError):
         comparison_constant(m)
 
@@ -188,9 +185,9 @@ def test_nonpositive_factor_rejected():
     lambda: ConformalMetric(euclidean(), ConformalFactor(Fourier2D(np.nan))),
     lambda: RiemannianMetric(np.nan, 0.0, 1.0),
     lambda: RandersMetric(euclidean(), (np.nan, 0.0)),
-    lambda: RandersMetric(euclidean(), (0.0, np.inf), validate=False),
+    lambda: RandersMetric(euclidean(), (0.0, np.inf)),
 ], ids=["factor-nan", "factor-inf", "unverified-factor-nan", "conformal-metric-nan",
-        "riemannian-nan", "randers-nan", "unvalidated-randers-inf"])
+        "riemannian-nan", "randers-nan", "randers-inf"])
 def test_non_finite_coefficients_rejected(build):
     # a nan coefficient passed every grid check (nan <= 0.0 is False), and the
     # conformal metric built on it gave a nan comparison constant

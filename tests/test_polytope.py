@@ -156,9 +156,11 @@ def test_probe_strict_diameter_drop():
 
 
 def test_probe_rejects_bad_scales():
-    with pytest.raises(InputDomainError):
-        semicontinuity_probe(Functional((1.0, 0.0)), SQUARE,
-                             Functional((0.0, 1.0)), [0.5, 0.5])
+    # not decreasing; a tail past the last scale, before the first, or of no scales
+    for scales, tail_start in [([0.5, 0.5], None), ([0.5, 0.25], 2), ([0.5, 0.25], -1), ([], None)]:
+        with pytest.raises(InputDomainError):
+            semicontinuity_probe(Functional((1.0, 0.0)), SQUARE,
+                                 Functional((0.0, 1.0)), scales, tail_start)
 
 
 def test_probe_random_bodies_no_violations():

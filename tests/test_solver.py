@@ -349,14 +349,17 @@ def test_positive_scaling_equivariance():
 
 def test_speed_cap_on_minimizers():
     res = shortest_loop(euclidean(), (1, 0), CFG)
-    assert verify_speed_cap(euclidean(), res.loop, (1, 0))
+    assert verify_speed_cap(euclidean(), res.loop)
     m = RandersMetric(euclidean(), (0.5, 0.0))
     res = shortest_loop(m, (1, 0), CFG)
-    assert verify_speed_cap(m, res.loop, (1, 0))
+    assert verify_speed_cap(m, res.loop)
 
 
 def test_speed_cap_rejects_fast_loop():
-    verts = DiscreteLoop.straight((1, 0), 32).vertices.copy()
-    verts[5] += (0.0, 0.5)  # one segment at Euclidean speed ~16
-    fast = DiscreteLoop(verts, (1, 0))
-    assert not verify_speed_cap(euclidean(), fast, (1, 0))
+    # two segments at Euclidean speed ~16, or at exactly 3: inside the (3, 4)
+    # class's cap of ~5.1 but over the (1, 0) loop's own cap of ~1.02
+    for kink in (0.5, np.sqrt(8.0) / 32):
+        verts = DiscreteLoop.straight((1, 0), 32).vertices.copy()
+        verts[5] += (0.0, kink)
+        fast = DiscreteLoop(verts, (1, 0))
+        assert not verify_speed_cap(euclidean(), fast)
