@@ -61,17 +61,16 @@ def _count(cfg: dict, key: str, default: int) -> int:
     return n
 
 
-def _solver_config(cfg: dict, seed: int, **overrides) -> SolverConfig:
-    kwargs = dict(
+def _solver_config(cfg: dict, seed: int, num_starts: int) -> SolverConfig:
+    """The `solver.` keys; `num_starts` is the experiment's default number of starts."""
+    return SolverConfig(
         n_vertices=get_int(cfg, "solver.n_vertices", 64),
         max_iters=get_int(cfg, "solver.max_iters", 3000),
         grad_tol=get_float(cfg, "solver.grad_tol", 1e-7),
-        num_starts=get_int(cfg, "solver.num_starts", 1),
+        num_starts=get_int(cfg, "solver.num_starts", num_starts),
         cluster_tol=get_float(cfg, "solver.cluster_tol", 0.05),
         seed=seed,
     )
-    kwargs.update(overrides)
-    return SolverConfig(**kwargs)
 
 
 def _loop_record(loop: DiscreteLoop) -> dict:
@@ -89,11 +88,14 @@ def random_metric(rng: np.random.Generator):
         ang = rng.uniform(0, 2 * np.pi)
         r = rng.uniform(0.1, 0.6)
         return RandersMetric(euclidean(), (r * np.cos(ang), r * np.sin(ang)))
-    factor = random_factor(rng, amplitude=0.4)
+    factor = random_factor(rng)
     return ConformalMetric(euclidean(), factor)
 
 
-def random_factor(rng: np.random.Generator, amplitude: float = 0.4) -> ConformalFactor:
+_FACTOR_AMPLITUDE = 0.4  # sup of a random factor's oscillation, well inside positivity
+
+
+def random_factor(rng: np.random.Generator) -> ConformalFactor:
     modes = {}
     for _ in range(int(rng.integers(1, 4))):
         k = (int(rng.integers(-2, 3)), int(rng.integers(-2, 3)))
@@ -102,8 +104,8 @@ def random_factor(rng: np.random.Generator, amplitude: float = 0.4) -> Conformal
         modes[k] = (rng.uniform(-1, 1), rng.uniform(-1, 1))
     osc = Fourier2D(0.0, modes)
     top = osc.max_abs(64)
-    if top > amplitude:  # keep the oscillation well inside positivity
-        osc = osc * (amplitude / top)
+    if top > _FACTOR_AMPLITUDE:
+        osc = osc * (_FACTOR_AMPLITUDE / top)
     return ConformalFactor(Fourier2D(1.0) + osc)
 
 
@@ -154,8 +156,7 @@ def run_uniqueness(cfg: dict, seed: int):
     gamma = get_pair(cfg, "gamma", (1, 0))
     ts = get_floats(cfg, "t_values", [0.0, 0.05, 0.1, 0.2])
     center = get_float(cfg, "bump_center", 0.25)
-    scfg = _solver_config(cfg, seed,
-                          num_starts=get_int(cfg, "solver.num_starts", 50))
+    scfg = _solver_config(cfg, seed, 50)
     records = []
     spreads = []
     capped = True
@@ -193,13 +194,18 @@ def run_uniqueness(cfg: dict, seed: int):
     return records, checks
 
 
+def cs_property_metrics() -> list:
+    """The metrics `cs-property` cycles through, loop i taking metric i mod 3."""
+    return [euclidean(),
+            RandersMetric(euclidean(), (0.3, 0.1)),
+            ConformalMetric(euclidean(), ConformalFactor(
+                Fourier2D(1.0, {(1, 0): (0.2, 0.0), (0, 1): (0.0, 0.15)})))]
+
+
 def run_cs_property(cfg: dict, seed: int):
     count = _count(cfg, "count", 10000)
     rng = np.random.default_rng(seed)
-    metrics = [euclidean(),
-               RandersMetric(euclidean(), (0.3, 0.1)),
-               ConformalMetric(euclidean(), ConformalFactor(
-                   Fourier2D(1.0, {(1, 0): (0.2, 0.0), (0, 1): (0.0, 0.15)})))]
+    metrics = cs_property_metrics()
     gap_violations = 0
     reparam_violations = 0
     worst_gap = 0.0
@@ -227,7 +233,7 @@ def run_cs_property(cfg: dict, seed: int):
 
 
 def run_speed_cap(cfg: dict, seed: int):
-    scfg = _solver_config(cfg, seed)
+    scfg = _solver_config(cfg, seed, 1)
     # each case's exact minimum length: |gamma|, |gamma| + 0.3 p for the drift
     # (0.3, 0) on gamma = (p, q), and 1 for the bump, a factor >= 1 with equality on its trough
     cases = [
@@ -326,8 +332,10 @@ def run_consistency(cfg: dict, seed: int):
 
 def run_semicontinuity(cfg: dict, seed: int):
     trials = _count(cfg, "trials", 100)
-    k_lo, k_hi = 1, get_int(cfg, "k_max", 20)
+    k_lo, k_hi = 1, _count(cfg, "k_max", 20)
     tail_k = get_int(cfg, "tail_k", 10)
+    if not k_lo <= tail_k <= k_hi:
+        raise ConfigError(f"key 'tail_k': expected 1 <= tail_k <= k_max = {k_hi}, got {tail_k}")
     rng = np.random.default_rng(seed)
     scales = [2.0 ** (-k) for k in range(k_lo, k_hi + 1)]
     records = []
@@ -391,14 +399,33 @@ _RUNNERS = {
 EXPERIMENTS = tuple(_RUNNERS)
 
 
+class _ReadKeys(dict):
+    """A config that records each key tested with `in`, as every getter tests its key."""
+
+    def __init__(self, cfg: dict):
+        super().__init__(cfg)
+        self.read = {"experiment", "out"}  # read by the runner and the command line
+
+    def __contains__(self, key) -> bool:
+        self.read.add(key)
+        return super().__contains__(key)
+
+
 def run(cfg: dict, out_path: str) -> int:
-    """Run the configured experiment; write a JSON-lines report; 0 iff all checks pass."""
+    """Run the configured experiment; write a JSON-lines report; 0 iff all checks pass.
+
+    A key the experiment does not read is a config error, raised before the report is written.
+    """
     experiment = cfg.get("experiment")
     if experiment not in _RUNNERS:
         raise ConfigError(f"unknown or missing experiment id: {experiment!r} "
                           f"(expected one of {', '.join(EXPERIMENTS)})")
+    cfg = _ReadKeys(cfg)
     seed = get_int(cfg, "seed", 0)
     records, checks = _RUNNERS[experiment](cfg, seed)
+    unread = sorted(set(cfg) - cfg.read)
+    if unread:
+        raise ConfigError(f"keys not read by experiment {experiment!r}: {', '.join(unread)}")
     passed = all(checks.values())
     lines = [json.dumps({"timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat()}),
              json.dumps({"config": dict(sorted(cfg.items()))}, sort_keys=True)]

@@ -104,7 +104,7 @@ def action_gradient(metric: FinslerMetric, loop: DiscreteLoop) -> np.ndarray:
     return _evaluate(metric, loop.vertices[None], loop.winding)[1][0]
 
 
-def _precond_factors(n: int, kappa: float = 1.0) -> np.ndarray:
+def _precond_factors(n: int, kappa: float) -> np.ndarray:
     """FFT symbol of kappa * (c*I + 2n*L), L the loop Laplacian, c = `_PRECOND_SHIFT`.
 
     This is the Hessian of the flat action up to the constant c, which keeps

@@ -1,4 +1,4 @@
-"""Config parsing, metric construction from configs, and the CLI runner."""
+"""Config parsing and the CLI runner."""
 import json
 import re
 import warnings
@@ -7,17 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from torusgeo import DiscreteLoop, evaluate
+from torusgeo import DiscreteLoop
 from torusgeo.cli import main
-from torusgeo.config import (
-    get_float,
-    get_floats,
-    get_int,
-    get_pair,
-    metric_from_config,
-    parse_config,
-    series_from_config,
-)
+from torusgeo.config import get_float, get_floats, get_int, get_pair, parse_config
 from torusgeo.errors import ConfigError
 
 
@@ -35,48 +27,15 @@ def test_parse_rejects_bare_line():
 
 def test_typed_getters():
     cfg = {"x": "2.5", "n": "3", "pair": "1,-2"}
-    assert get_float(cfg, "x") == 2.5
-    assert get_int(cfg, "n") == 3
-    assert get_pair(cfg, "pair") == (1, -2)
+    assert get_float(cfg, "x", 0.0) == 2.5
+    assert get_int(cfg, "n", 0) == 3
+    assert get_pair(cfg, "pair", (0, 0)) == (1, -2)
     assert get_float(cfg, "missing", 7.0) == 7.0
+    assert get_int(cfg, "missing", 4) == 4
+    assert get_floats(cfg, "missing", (1.0, 2.0)) == [1.0, 2.0]
+    assert get_pair(cfg, "missing", (1, 0)) == (1, 0)
     with pytest.raises(ConfigError):
-        get_float(cfg, "missing")
-    with pytest.raises(ConfigError):
-        get_int(cfg, "x")
-
-
-def test_series_from_config_modes():
-    cfg = parse_config("f.const = 1.5\nf.mode_0,1 = 0.25,-0.5\nf.mode_2,-1 = 0.1,0.0\n")
-    s = series_from_config(cfg, "f.")
-    assert s.const == 1.5
-    assert s.modes[(0, 1)] == (0.25, -0.5)
-    pts = np.array([[0.2, 0.3]])
-    expected = (1.5 + 0.25 * np.cos(2 * np.pi * 0.3) - 0.5 * np.sin(2 * np.pi * 0.3)
-                + 0.1 * np.cos(2 * np.pi * (2 * 0.2 - 0.3)))
-    assert s(pts)[0] == pytest.approx(float(expected))
-
-
-def test_metric_from_config_variants():
-    e = metric_from_config({"metric.variant": "euclidean"})
-    assert evaluate(e, (0.0, 0.0), (3.0, 4.0)) == pytest.approx(5.0)
-
-    g = metric_from_config(parse_config(
-        "metric.variant = riemannian\nmetric.g11.const = 4.0\n"))
-    assert evaluate(g, (0.3, 0.7), (1.0, 0.0)) == pytest.approx(2.0)
-
-    r = metric_from_config(parse_config(
-        "metric.variant = randers\nmetric.g22.const = 9.0\nmetric.beta = 0.5,0\n"))
-    assert evaluate(r, (0.0, 0.0), (1.0, 0.0)) == pytest.approx(1.5)
-    assert evaluate(r, (0.0, 0.0), (0.0, 1.0)) == pytest.approx(3.0)
-
-    c = metric_from_config(parse_config(
-        "metric.variant = conformal\n"
-        "metric.base.variant = euclidean\n"
-        "metric.lambda.const = 4.0\n"))
-    assert evaluate(c, (0.1, 0.9), (1.0, 0.0)) == pytest.approx(2.0)
-
-    with pytest.raises(ConfigError):
-        metric_from_config({"metric.variant": "hyperbolic"})
+        get_int(cfg, "x", 0)
 
 
 # -- runner -------------------------------------------------------------------
@@ -98,20 +57,10 @@ def readme_ini_blocks():
 
 
 def test_readme_experiment_example_runs(tmp_path):
-    experiment, _ = readme_ini_blocks()
+    (experiment,) = readme_ini_blocks()
     out = str(tmp_path / "readme.jsonl")
     assert main(["run", write(tmp_path, "readme.cfg", experiment), "--out", out]) == 0
     assert read_report(out)[-1]["summary"]["pass"] is True
-
-
-def test_readme_metric_example_builds_its_formula():
-    _, metric = readme_ini_blocks()
-    m = metric_from_config(parse_config(metric))
-    rng = np.random.default_rng(23)
-    for x, v in zip(rng.random((5, 2)), rng.standard_normal((5, 2))):
-        lam = 1.1 - 0.05 * np.cos(2 * np.pi * x[1])
-        expected = np.sqrt(lam) * (np.hypot(*v) + 0.3 * v[0])
-        assert evaluate(m, x, v) == pytest.approx(expected, rel=1e-14)
 
 
 def test_run_semicontinuity_small(tmp_path):
@@ -193,11 +142,9 @@ def test_run_non_finite_number_exits_2(tmp_path, capsys, text):
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
 def test_getters_reject_non_finite(value):
     with pytest.raises(ConfigError):
-        get_float({"x": value}, "x")
+        get_float({"x": value}, "x", 0.0)
     with pytest.raises(ConfigError):
-        get_floats({"x": f"1.0,{value}"}, "x")
-    with pytest.raises(ConfigError):
-        series_from_config({"f.mode_0,1": f"0.5,{value}"}, "f.")
+        get_floats({"x": f"1.0,{value}"}, "x", [0.0])
 
 
 def test_run_unallocatable_size_exits_2(tmp_path, capsys):
@@ -228,7 +175,24 @@ def test_run_semicontinuity_tail_outside_scales_exits_2(tmp_path, capsys, settin
     out = tmp_path / "tail.jsonl"
     assert main(["run", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("torusgeo: error: tail_start ") and err.count("\n") == 1
+    assert err.startswith("torusgeo: error: key ") and err.count("\n") == 1
+    assert setting.split()[0] in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, flags, unread", [
+    ("experiment = speed-cap\nmetric.variant = randers\nmetric.beta = 0.3,0.0\n"
+     "solver.num_start = 3\n", [], "'speed-cap': metric.beta, metric.variant, solver.num_start"),
+    ("experiment = speed-cap\n", ["--override", "solver.num_start=3"],
+     "'speed-cap': solver.num_start"),
+    ("experiment = uniqueness\nt_values = 0.2\nsolver.num_starts = 2\ncount = 5\n", [],
+     "'uniqueness': count"),
+], ids=["metric-keys-and-typo", "override-typo", "other-experiments-key"])
+def test_run_unread_key_exits_2(tmp_path, capsys, text, flags, unread):
+    cfg = write(tmp_path, "unread.cfg", text)
+    out = tmp_path / "unread.jsonl"
+    assert main(["run", cfg, "--out", str(out)] + flags) == 2
+    assert capsys.readouterr().err == f"torusgeo: error: keys not read by experiment {unread}\n"
     assert not out.exists()
 
 

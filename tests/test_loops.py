@@ -7,7 +7,6 @@ from torusgeo import (
     ConformalFactor,
     ConformalMetric,
     DiscreteLoop,
-    Fourier2D,
     RandersMetric,
     action,
     cs_gap,
@@ -242,33 +241,27 @@ def test_reparametrize_equalizes_speeds():
     assert ell.std() / ell.mean() <= 1e-3
 
 
-def _cs_property_metric(index):
-    """The metric `run_cs_property` gives its loop number `index`."""
-    bump = ConformalFactor(Fourier2D(1.0, {(1, 0): (0.2, 0.0), (0, 1): (0.0, 0.15)}))
-    return (euclidean(), RandersMetric(euclidean(), (0.3, 0.1)),
-            ConformalMetric(euclidean(), bump))[index % 3]
-
-
 @pytest.mark.parametrize("seed, index", [(905, 556), (907, 661), (929, 199), (0, 1318),
                                          (0, 6086), (707, 641), (934, 893), (957, 563),
                                          (967, 159)])
 def test_reparametrize_restarts_past_a_stall(seed, index):
     # the pass from phase 0 stalls at a relative gap of 1.2e-4 to 4.0e-3 on
     # these cs-property loops; a restart at a shifted phase reaches the tolerance
-    from torusgeo.experiments import random_loop
+    from torusgeo.experiments import cs_property_metrics, random_loop
     rng = np.random.default_rng(seed)
     for _ in range(index + 1):
         loop = random_loop(rng)
-    metric = _cs_property_metric(index)
+    metrics = cs_property_metrics()
+    metric = metrics[index % len(metrics)]
     out = reparametrize_constant_speed(metric, loop)
     assert cs_gap(metric, out) <= 1e-6 * action(metric, out)
 
 
 def test_reparametrize_builds_only_the_returned_loop(monkeypatch):
-    from torusgeo.experiments import random_loop
+    from torusgeo.experiments import cs_property_metrics, random_loop
     rng = np.random.default_rng(13)  # some of these loops need Newton steps
     loops = [random_loop(rng) for _ in range(8)]
-    metrics = [_cs_property_metric(i) for i in range(3)]
+    metrics = cs_property_metrics()
     built = []
     real_init = DiscreteLoop.__init__
 
@@ -288,10 +281,10 @@ def test_reparametrize_builds_only_the_returned_loop(monkeypatch):
 def test_reparametrize_survives_a_singular_newton_system(monkeypatch):
     # a failed Newton solve ends the pass; the restarts and the best-gap pick
     # still return a loop on the input chain, no worse than the input
-    from torusgeo.experiments import random_loop
+    from torusgeo.experiments import cs_property_metrics, random_loop
     rng = np.random.default_rng(13)  # the loops of test_reparametrize_builds_only_the_returned_loop
     loops = [random_loop(rng) for _ in range(8)]
-    metrics = [_cs_property_metric(i) for i in range(3)]
+    metrics = cs_property_metrics()
     solves = []
 
     def singular(a, b):

@@ -159,6 +159,28 @@ def test_output_is_constant_speed():
     assert cs_gap(m, res.loop) <= 1e-6 * res.action
 
 
+def test_final_reparametrization_is_needed(monkeypatch):
+    # a converged descent on an oblique conformal factor stops short of constant
+    # speed (relative gap 2.1e-6); the final reparametrization brings it to 4e-9
+    from torusgeo import solver
+    calls = []
+
+    def spy(metric, loop, _real=solver.reparametrize_constant_speed):
+        out = _real(metric, loop)
+        calls.append((loop, out))
+        return out
+
+    monkeypatch.setattr(solver, "reparametrize_constant_speed", spy)
+    m = ConformalMetric(euclidean(), ConformalFactor(Fourier2D(1.0, {(2, 1): (0.2, 0.35)})))
+    res = shortest_loop(m, (1, 1), SolverConfig(n_vertices=64, max_iters=3000, grad_tol=1e-7,
+                                                seed=0))
+    assert res.converged and res.iterations == 57
+    [(iterate, out)] = calls
+    assert out is res.loop
+    assert cs_gap(m, iterate) > 1e-6 * action(m, iterate)
+    assert cs_gap(m, res.loop) <= 1e-6 * res.action
+
+
 def test_refinement_consistency():
     for m in (euclidean(), RandersMetric(euclidean(), (0.3, 0.1))):
         coarse = shortest_loop(m, (1, 1), SolverConfig(n_vertices=32, seed=1))
