@@ -6,6 +6,7 @@ a summary with one boolean verdict per acceptance check it exercises.
 """
 from __future__ import annotations
 
+import dataclasses
 import datetime
 import json
 import math
@@ -15,9 +16,17 @@ import os
 import numpy as np
 
 from .config import get_float, get_floats, get_int, get_pair
-from .errors import ConfigError, PerturbationFailureError
+from .errors import ConfigError, InputDomainError, PerturbationFailureError
 from .fourier import Fourier2D
-from .loops import DiscreteLoop, action, cs_gap, length, loop_measure, reparametrize_constant_speed
+from .loops import (
+    DiscreteLoop,
+    _length_action,
+    action,
+    cs_gap,
+    loop_measure,
+    reparametrize_constant_speed,
+    segment_lengths,
+)
 from .measures import action_consistency, pushforward
 from .metrics import ConformalFactor, ConformalMetric, RandersMetric, euclidean
 from .polytope import (
@@ -61,14 +70,12 @@ def _count(cfg: dict, key: str, default: int) -> int:
     return n
 
 
-def _solver_config(cfg: dict, seed: int, num_starts: int) -> SolverConfig:
-    """The `solver.` keys; `num_starts` is the experiment's default number of starts."""
+def _solver_config(cfg: dict, seed: int) -> SolverConfig:
+    """The `solver.` keys of a single descent; `uniqueness` adds the multi-start keys."""
     return SolverConfig(
         n_vertices=get_int(cfg, "solver.n_vertices", 64),
         max_iters=get_int(cfg, "solver.max_iters", 3000),
         grad_tol=get_float(cfg, "solver.grad_tol", 1e-7),
-        num_starts=get_int(cfg, "solver.num_starts", num_starts),
-        cluster_tol=get_float(cfg, "solver.cluster_tol", 0.05),
         seed=seed,
     )
 
@@ -156,7 +163,9 @@ def run_uniqueness(cfg: dict, seed: int):
     gamma = get_pair(cfg, "gamma", (1, 0))
     ts = get_floats(cfg, "t_values", [0.0, 0.05, 0.1, 0.2])
     center = get_float(cfg, "bump_center", 0.25)
-    scfg = _solver_config(cfg, seed, 50)
+    scfg = dataclasses.replace(_solver_config(cfg, seed),
+                               num_starts=get_int(cfg, "solver.num_starts", 50),
+                               cluster_tol=get_float(cfg, "solver.cluster_tol", 0.05))
     records = []
     spreads = []
     capped = True
@@ -218,8 +227,8 @@ def run_cs_property(cfg: dict, seed: int):
         if gap < -1e-9:
             gap_violations += 1
         flat = reparametrize_constant_speed(metric, loop)
-        a = action(metric, flat)
-        rel = (a - length(metric, flat) ** 2) / a  # cs_gap / action, one action evaluation
+        total, a = _length_action(segment_lengths(metric, flat))
+        rel = float((a - total ** 2) / a)  # cs_gap / action from one evaluation
         worst_rel = max(worst_rel, rel)
         if rel > 1e-6:
             reparam_violations += 1
@@ -233,7 +242,7 @@ def run_cs_property(cfg: dict, seed: int):
 
 
 def run_speed_cap(cfg: dict, seed: int):
-    scfg = _solver_config(cfg, seed, 1)
+    scfg = _solver_config(cfg, seed)
     # each case's exact minimum length: |gamma|, |gamma| + 0.3 p for the drift
     # (0.3, 0) on gamma = (p, q), and 1 for the bump, a factor >= 1 with equality on its trough
     cases = [
@@ -439,33 +448,41 @@ def run(cfg: dict, out_path: str) -> int:
 
 
 def emit_plot_data(report_path: str, out_dir: str) -> int:
-    """Extract CSV tables (spread curves, trial tables, loop dumps) from a report."""
+    """Extract CSV tables (spread curves, trial tables, loop dumps) from a report.
+
+    Every table is built before any is written, so a file that is not a
+    report raises InputDomainError and writes nothing.
+    """
     with open(report_path, encoding="utf-8") as fh:
         rows = [json.loads(ln) for ln in fh if ln.strip()]
+    try:
+        tables = _plot_tables([r for r in rows if "kind" in r])
+    except (KeyError, TypeError, ValueError) as e:
+        raise InputDomainError(f"{report_path} is not a report: "
+                               f"{type(e).__name__}: {e}") from e
     os.makedirs(out_dir, exist_ok=True)
-    records = [r for r in rows if "kind" in r]
+    for name, lines in tables.items():
+        with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+    return 0
 
+
+def _plot_tables(records: list) -> dict[str, list[str]]:
+    """The CSV lines of each plot table, by file name, from a report's records."""
     spread_lines = ["t,spread"]
     for r in records:
         if r.get("kind") == "uniqueness":
             spread_lines.append(f"{r['t']!r},{r['spread']!r}")
-    _write(os.path.join(out_dir, "uniqueness_spread.csv"), spread_lines)
 
     trial_lines = ["trial,diam_before,diam_after,t"]
     for r in records:
         if r.get("kind") == "mane-polytope" and r.get("success"):
             trial_lines.append(f"{r['trial']},{r['diam_before']!r},{r['diam_after']!r},{r['t']!r}")
-    _write(os.path.join(out_dir, "mane_trials.csv"), trial_lines)
 
     loop_lines = ["record,vertex,x,y"]
     for i, r in enumerate(records):
         if "loop" in r:
             for j, (x, y) in enumerate(r["loop"]["vertices"]):
                 loop_lines.append(f"{i},{j},{x!r},{y!r}")
-    _write(os.path.join(out_dir, "loops.csv"), loop_lines)
-    return 0
-
-
-def _write(path: str, lines: list[str]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    return {"uniqueness_spread.csv": spread_lines, "mane_trials.csv": trial_lines,
+            "loops.csv": loop_lines}

@@ -123,22 +123,30 @@ def segment_lengths(metric: FinslerMetric, loop: DiscreteLoop) -> np.ndarray:
     return metric.speed(*edges(loop.vertices, loop.winding))
 
 
+def _length_action(ell: np.ndarray) -> tuple:
+    """Length sum(ell) and action N * sum(ell^2) of loops with segment lengths ell, shape (..., N).
+
+    This is the one formula for both: the action of the period-1
+    parametrization, (1/N) sum F^2(m_i, N dx_i), is N sum F^2(m_i, dx_i) by
+    homogeneity, so one evaluation of the segment lengths gives both.
+    """
+    return ell.sum(axis=-1), (ell ** 2).sum(axis=-1) * ell.shape[-1]
+
+
 def length(metric: FinslerMetric, loop: DiscreteLoop) -> float:
     """Discrete F-length of the polygonal loop."""
-    return float(segment_lengths(metric, loop).sum())
+    return float(_length_action(segment_lengths(metric, loop))[0])
 
 
 def action(metric: FinslerMetric, loop: DiscreteLoop) -> float:
-    """Discrete action (1/N) sum F^2(m_i, N dx_i) of the period-1 parametrization."""
-    n = loop.n_vertices
-    mids, deltas = edges(loop.vertices, loop.winding)
-    s = metric.speed(mids, n * deltas)
-    return float((s ** 2).sum() / n)
+    """Discrete action N sum F^2(m_i, dx_i) of the period-1 parametrization."""
+    return float(_length_action(segment_lengths(metric, loop))[1])
 
 
 def cs_gap(metric: FinslerMetric, loop: DiscreteLoop) -> float:
     """action - length^2; nonnegative, zero iff per-segment F-speeds are equal."""
-    return action(metric, loop) - length(metric, loop) ** 2
+    total, a = _length_action(segment_lengths(metric, loop))
+    return float(a - total ** 2)
 
 
 def _segment_index(u: np.ndarray, n: int) -> np.ndarray:
@@ -167,25 +175,29 @@ def reparametrize_constant_speed(metric: FinslerMetric, loop: DiscreteLoop) -> D
     system, ends the pass, and a restart at a shifted sampling phase takes over.
 
     Trials are evaluated on plain vertex arrays through `edges`, so only the
-    returned loop is built as a DiscreteLoop.
+    returned loop is built as a DiscreteLoop. The first trial, phase 0,
+    samples the input vertices exactly (`np.interp` at the knots), so it is
+    the input loop's own evaluation.
     """
     closed = loop.closed_lift
     n = loop.n_vertices
-    loop_length = length(metric, loop)
+    tangents = loop.deltas
+
+    def evaluate(u):
+        mids, deltas = edges(_point_on_polygon(closed, u), loop.winding)
+        ell = metric.speed(mids, deltas)
+        total, a = _length_action(ell)
+        return (mids, deltas), ell, float(total), float(a - total ** 2)
+
+    knots = np.arange(n, dtype=float)
+    first = evaluate(knots)
+    loop_length = first[2]
     if not np.isfinite(loop_length):
         # nan or inf, as when chords' squares overflow: no trial's gap can beat it
         raise MalformedLoopError("loop length is not finite: vertices must be finite "
                                  "and their chords must not overflow")
     if loop_length <= 0.0:
         raise DegenerateLoopError("cannot reparametrize a zero-length loop")
-    tangents = loop.deltas
-
-    def evaluate(u):
-        mids, deltas = edges(_point_on_polygon(closed, u), loop.winding)
-        ell = metric.speed(mids, deltas)
-        a = float((ell ** 2).sum()) * n
-        total = float(ell.sum())
-        return (mids, deltas), ell, total, a - total ** 2
 
     def inversion_direction(u, ell, total):
         # invert the cumulative F-length at equal targets, holding the
@@ -222,9 +234,8 @@ def reparametrize_constant_speed(metric: FinslerMetric, loop: DiscreteLoop) -> D
     def admissible(u):
         return u[0] >= 0.0 and u[-1] < n and np.all(np.diff(u) > 0.0)
 
-    def attempt(phase):
-        u = np.arange(n, dtype=float) + phase
-        chords, ell, total, gap = evaluate(u)
+    def attempt(u, trial):
+        chords, ell, total, gap = trial
         newton = False
         for _ in range(_REPARAM_MAX_ITERS):
             if gap <= _REPARAM_REL_TOL * (gap + total ** 2):
@@ -252,7 +263,8 @@ def reparametrize_constant_speed(metric: FinslerMetric, loop: DiscreteLoop) -> D
     # shifted sampling phase moves the solution off the kink
     best_u, best_gap = None, np.inf
     for phase in (0.0, 0.5, 0.25, 0.75):
-        u, gap, total = attempt(phase)
+        u = knots + phase
+        u, gap, total = attempt(u, first if phase == 0.0 else evaluate(u))
         if gap < best_gap:
             best_u, best_gap = u, gap
         if gap <= _REPARAM_REL_TOL * (gap + total ** 2):

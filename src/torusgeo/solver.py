@@ -22,11 +22,11 @@ import numpy as np
 from .errors import InputDomainError, MalformedLoopError, SolverFailureError
 from .loops import (
     DiscreteLoop,
-    action,
+    _length_action,
     edges,
-    length,
     reparametrize_constant_speed,
     require_nontrivial,
+    segment_lengths,
 )
 from .metrics import FinslerMetric, comparison_constant
 
@@ -79,14 +79,13 @@ def verify_speed_cap(metric: FinslerMetric, loop: DiscreteLoop) -> bool:
 def _evaluate(metric: FinslerMetric, x: np.ndarray, winding) -> tuple[np.ndarray, np.ndarray]:
     """Discrete action, shape (S,), and its analytic gradient, shape (S, N, 2), of each lift in x.
 
-    One metric kernel call gives both; the action is the one `loops.action` computes.
+    One metric kernel call at the segment deltas gives both; the action is the
+    one `loops.action` computes, N sum F^2(m_i, dx_i).
     """
-    n = x.shape[1]
-    mids, deltas = edges(x, winding)
-    f, gx, gv = metric.kernel(mids, n * deltas)
-    # segment i depends on x_i (midpoint half, velocity -N) and x_{i+1} (+N)
-    grads = 0.5 * (gx + _previous(gx)) / n + _previous(gv) - gv
-    return (f ** 2).sum(axis=-1) / n, grads
+    f, gx, gv = metric.kernel(*edges(x, winding))
+    # segment i depends on x_i (midpoint half, delta -1) and x_{i+1} (+1)
+    grads = x.shape[1] * (0.5 * (gx + _previous(gx)) + _previous(gv) - gv)
+    return _length_action(f)[1], grads
 
 
 def _previous(a: np.ndarray) -> np.ndarray:
@@ -194,9 +193,10 @@ def _descend(metric: FinslerMetric, winding: tuple[int, int], config: SolverConf
     results = []
     for i in range(n_starts):
         out = reparametrize_constant_speed(metric, DiscreteLoop(x[i], winding))
+        total, a_out = _length_action(segment_lengths(metric, out))
         results.append(SolveResult(loop=out, converged=bool(converged[i]),
-                                   iterations=int(iterations[i]), action=action(metric, out),
-                                   length=length(metric, out), action_history=histories[i]))
+                                   iterations=int(iterations[i]), action=float(a_out),
+                                   length=float(total), action_history=histories[i]))
     return results
 
 

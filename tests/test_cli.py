@@ -187,7 +187,11 @@ def test_run_semicontinuity_tail_outside_scales_exits_2(tmp_path, capsys, settin
      "'speed-cap': solver.num_start"),
     ("experiment = uniqueness\nt_values = 0.2\nsolver.num_starts = 2\ncount = 5\n", [],
      "'uniqueness': count"),
-], ids=["metric-keys-and-typo", "override-typo", "other-experiments-key"])
+    # speed-cap solves one start per case and clusters nothing
+    ("experiment = speed-cap\nsolver.num_starts = 7\n", [], "'speed-cap': solver.num_starts"),
+    ("experiment = speed-cap\nsolver.cluster_tol = 0.3\n", [], "'speed-cap': solver.cluster_tol"),
+], ids=["metric-keys-and-typo", "override-typo", "other-experiments-key",
+        "speed-cap-num-starts", "speed-cap-cluster-tol"])
 def test_run_unread_key_exits_2(tmp_path, capsys, text, flags, unread):
     cfg = write(tmp_path, "unread.cfg", text)
     out = tmp_path / "unread.jsonl"
@@ -197,9 +201,9 @@ def test_run_unread_key_exits_2(tmp_path, capsys, text, flags, unread):
 
 
 def test_run_consistency_constant_factor_trial_passes(tmp_path):
-    # trial 16 at seed 1 draws a constant factor: its Lipschitz bound is 0 and
+    # trial 22 at seed 11 draws a constant factor: its Lipschitz bound is 0 and
     # the gap is pure rounding (2.2e-16), which the bound must allow
-    cfg = write(tmp_path, "bridge.cfg", "experiment = consistency\nseed = 1\ntrials = 17\n")
+    cfg = write(tmp_path, "bridge.cfg", "experiment = consistency\nseed = 11\ntrials = 23\n")
     out = str(tmp_path / "bridge.jsonl")
     assert main(["run", cfg, "--out", out]) == 0
     last = [r for r in read_report(out) if r.get("kind") == "consistency"][-1]
@@ -242,6 +246,20 @@ def test_plot_data_empty_report_headers_only(tmp_path):
         assert len(lines) == 1
 
 
+@pytest.mark.parametrize("line, error", [
+    ("5", "TypeError: argument of type 'int' is not iterable"),
+    ('{"kind": "uniqueness"}', "KeyError: 't'"),
+], ids=["not-an-object", "record-without-its-fields"])
+def test_plot_data_not_a_report_exits_2(tmp_path, capsys, line, error):
+    rep = tmp_path / "bad.jsonl"
+    rep.write_text(json.dumps({"timestamp": "x"}) + "\n" + line + "\n", encoding="utf-8")
+    plots = tmp_path / "plots"
+    assert main(["plot-data", str(rep), "--out", str(plots)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"torusgeo: error: {rep} is not a report: {error}\n"
+    assert not plots.exists()
+
+
 def test_cs_property_evaluates_each_loop_once(monkeypatch):
     from torusgeo import experiments, metrics
     calls, inside = [], []
@@ -263,9 +281,9 @@ def test_cs_property_evaluates_each_loop_once(monkeypatch):
         monkeypatch.setattr(cls, "speed", speed)
     records, checks = experiments.run_cs_property({"count": 3}, 0)
     assert all(checks.values())
-    # per loop, outside the reparametrization: the input loop's action and
-    # length (its cs_gap), then the reparametrized loop's action and length
-    assert len(calls) == 3 * 4
+    # per loop, outside the reparametrization: one evaluation of the input
+    # loop (its cs_gap), then one of the reparametrized loop (its residual)
+    assert len(calls) == 3 * 2
 
 
 def test_speed_cap_lengths_exact_catches_a_long_loop(monkeypatch):

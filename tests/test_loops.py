@@ -166,6 +166,25 @@ def test_two_speed_loop_action_length_gap():
     assert cs_gap(euclidean(), loop) == pytest.approx(1.0)
 
 
+def test_action_is_n_times_sum_of_squared_segment_lengths():
+    # one convention: N * sum ell_i^2 of ell_i = F(m_i, dx_i), bit for bit; for
+    # N a power of two it is also the period-1 form (1/N) sum F^2(m_i, N dx_i)
+    from torusgeo.experiments import random_loop, random_metric
+    rng = np.random.default_rng(17)
+    powers = 0
+    for _ in range(300):
+        m, loop = random_metric(rng), random_loop(rng)
+        n = loop.n_vertices
+        ell = segment_lengths(m, loop)
+        assert action(m, loop) == (ell ** 2).sum() * n
+        assert length(m, loop) == ell.sum()
+        if n & (n - 1) == 0:
+            powers += 1
+            mids, deltas = edges(loop.vertices, loop.winding)
+            assert action(m, loop) == (m.speed(mids, n * deltas) ** 2).sum() / n
+    assert powers
+
+
 def test_gap_nonnegative_bulk():
     from torusgeo.experiments import random_loop, random_metric
     rng = np.random.default_rng(3)
@@ -276,6 +295,27 @@ def test_reparametrize_builds_only_the_returned_loop(monkeypatch):
             out = reparametrize_constant_speed(metric, loop)
             assert len(built) == before + 1
             assert out.winding == loop.winding
+
+
+def test_reparametrize_first_speed_call_is_the_input_loop(monkeypatch):
+    # the phase-0 trial samples the input vertices exactly: it is the input's
+    # own evaluation, which the length checks read, not a second one
+    from torusgeo import metrics
+    from torusgeo.experiments import cs_property_metrics, random_loop
+    rng = np.random.default_rng(13)
+    calls = []
+    for cls in (metrics.RiemannianMetric, metrics.RandersMetric, metrics.ConformalMetric):
+        def speed(self, x, v, _real=cls.speed):
+            calls.append((np.array(x), np.array(v)))
+            return _real(self, x, v)
+        monkeypatch.setattr(cls, "speed", speed)
+    for metric in cs_property_metrics():
+        loop = random_loop(rng)
+        calls.clear()
+        reparametrize_constant_speed(metric, loop)
+        mids, deltas = edges(loop.vertices, loop.winding)
+        assert np.array_equal(calls[0][0], mids) and np.array_equal(calls[0][1], deltas)
+        assert not any(np.array_equal(v, deltas) for _, v in calls[1:])
 
 
 def test_reparametrize_survives_a_singular_newton_system(monkeypatch):

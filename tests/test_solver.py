@@ -347,6 +347,33 @@ def test_perturbed_metric_collapses_to_one_cluster():
     assert rep.spread <= 1e-2
 
 
+def test_minimizer_set_evaluates_each_start_once(monkeypatch):
+    # outside the reparametrization, a start's reported length and action come
+    # from one evaluation of its segment lengths; the descent uses the kernel
+    from torusgeo import metrics, solver
+    from torusgeo.experiments import height_bump
+    calls, inside = [], []
+
+    def reparam(*args, _real=solver.reparametrize_constant_speed):
+        inside.append(True)
+        try:
+            return _real(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(solver, "reparametrize_constant_speed", reparam)
+    for cls in (metrics.RiemannianMetric, metrics.ConformalMetric):
+        def speed(self, x, v, _real=cls.speed):
+            if not inside:
+                calls.append(1)
+            return _real(self, x, v)
+        monkeypatch.setattr(cls, "speed", speed)
+    m = ConformalMetric(euclidean(), height_bump(0.2))
+    rep = minimizer_set(m, (1, 0), SolverConfig(n_vertices=32, num_starts=5, seed=1))
+    assert rep.n_converged + rep.n_failed == 5
+    assert len(calls) == 1 + 5  # the preconditioner's comparison constant, then each start
+
+
 def test_single_start_spread_zero():
     cfg = SolverConfig(n_vertices=64, num_starts=1, seed=3)
     rep = minimizer_set(euclidean(), (1, 0), cfg)
