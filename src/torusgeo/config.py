@@ -37,7 +37,10 @@ def get_float(cfg: dict, key: str, default: float) -> float:
 
 
 def get_int(cfg: dict, key: str, default: int) -> int:
-    v = get_float(cfg, key, float(default))
+    try:  # an integer literal converts exactly, also past 2**53 where a float rounds
+        return int(cfg[key]) if key in cfg else default
+    except ValueError:
+        v = get_float(cfg, key, default)  # a float form such as 3.0 or 1e15
     if v != int(v):
         raise ConfigError(f"key {key!r}: expected an integer, got {v}")
     return int(v)

@@ -33,7 +33,6 @@ from .polytope import (
     DEFAULT_TOL,
     ConvexBody,
     Functional,
-    argmin_set,
     semicontinuity_probe,
     shrink_argmin,
 )
@@ -162,12 +161,15 @@ def _argmin_bruteforce(f: Functional, body: ConvexBody, tol: float = 1e-9):
 def run_uniqueness(cfg: dict, seed: int):
     gamma = get_pair(cfg, "gamma", (1, 0))
     ts = get_floats(cfg, "t_values", [0.0, 0.05, 0.1, 0.2])
+    # the checks read the list in order and its last t; a negative t makes the trough a crest
+    if ts[0] < 0.0 or ts[-1] <= 0.0 or any(t2 <= t1 for t1, t2 in zip(ts, ts[1:])):
+        raise ConfigError(f"key 't_values': expected strictly increasing values >= 0 "
+                          f"ending above 0, got {cfg['t_values']!r}")
     center = get_float(cfg, "bump_center", 0.25)
     scfg = dataclasses.replace(_solver_config(cfg, seed),
                                num_starts=get_int(cfg, "solver.num_starts", 50),
                                cluster_tol=get_float(cfg, "solver.cluster_tol", 0.05))
     records = []
-    spreads = []
     capped = True
     for t in ts:
         metric = euclidean() if t == 0.0 else ConformalMetric(euclidean(), height_bump(t, center))
@@ -175,7 +177,7 @@ def run_uniqueness(cfg: dict, seed: int):
         capped = capped and all(verify_speed_cap(metric, c.representative)
                                 for c in rep.clusters)
         best = rep.clusters[0].representative
-        rec = {
+        records.append({
             "kind": "uniqueness",
             "t": t,
             "spread": rep.spread,
@@ -185,9 +187,8 @@ def run_uniqueness(cfg: dict, seed: int):
             "best_length": rep.best_length,
             "mean_height": circular_mean(np.mod(best.vertices[:, 1], 1.0)),
             "loop": _loop_record(best),
-        }
-        records.append(rec)
-        spreads.append(rep.spread)
+        })
+    spreads = [r["spread"] for r in records]
     expected_length = float(np.hypot(gamma[0], gamma[1]))
     last = records[-1]
     checks = {
@@ -198,7 +199,7 @@ def run_uniqueness(cfg: dict, seed: int):
         "perturbed_length": abs(last["best_length"] - expected_length) <= 5e-3 * expected_length,
         "minimizers_within_speed_cap": capped,
     }
-    if ts and ts[0] == 0.0:
+    if ts[0] == 0.0:
         checks["flat_spread_witnessed"] = spreads[0] >= 0.3
     return records, checks
 
@@ -285,16 +286,15 @@ def run_mane_polytope(cfg: dict, seed: int):
             records.append({"kind": "mane-polytope", "trial": trial, "success": False,
                             "error": str(e)})
             continue
-        after_set = argmin_set(res.functional, body)
         m_brute, active_brute = _argmin_bruteforce(res.functional, body)
-        if after_set.active_indices != active_brute or abs(after_set.value - m_brute) > 1e-12 * (1 + abs(m_brute)):
+        if res.after.active_indices != active_brute or abs(res.after.value - m_brute) > 1e-12 * (1 + abs(m_brute)):
             oracle_ok = False
         shift = float(np.linalg.norm(res.functional.coefficients - f.coefficients))
-        success = res.diameter_after <= eps and shift <= delta
+        success = res.after.diameter <= eps and shift <= delta
         successes += success
         records.append({"kind": "mane-polytope", "trial": trial, "success": bool(success),
                         "dimension": body.dimension, "n_vertices": len(body.vertices),
-                        "diam_before": res.diameter_before, "diam_after": res.diameter_after,
+                        "diam_before": res.before.diameter, "diam_after": res.after.diameter,
                         "eps": eps, "t": res.t, "shift": shift})
     checks = {
         "all_trials_succeed": successes == trials,
@@ -313,22 +313,24 @@ def run_consistency(cfg: dict, seed: int):
         metric = random_metric(rng)
         factor = random_factor(rng)
         loop = random_loop(rng, n_min=16, n_max=64, jitter=0.15)
-        gap = action_consistency(metric, factor, loop, resolution)
         a = action(metric, loop)
-        lip = factor.sup_gradient_norm(512)
+        lip = factor.sup_gradient_norm(512)  # first: its 512^2 grids and a pushforward never coexist
         # the gap subtracts two sums of size up to sup|lambda| * a, so it carries
         # rounding even when lip = 0 (a constant factor); sup|lambda| is
         # certified from the coefficients
         lam_sup = abs(factor.const) + sum(math.hypot(c, s) for c, s in factor.modes.values())
         bound = lip * (np.sqrt(2.0) / resolution) * a + 1e-12 * (1.0 + lam_sup * a)
+        cap = float(np.linalg.norm(loop.velocities, axis=1).max()) * (1 + 1e-12)
+        grid = pushforward(metric, loop_measure(metric, loop, cap), resolution)
+        gap = action_consistency(metric, factor, loop, grid)
+        mass = grid.total_mass
+        kappa = float(rng.uniform(0.5, 2.0))
+        cgap = action_consistency(metric, ConformalFactor.constant(kappa), loop, grid)
+        del grid  # nor with the next trial's bound
         if gap > bound:
             gap_ok = False
-        cap = float(np.linalg.norm(loop.velocities, axis=1).max()) * (1 + 1e-12)
-        mass = pushforward(metric, loop_measure(metric, loop, cap), resolution).total_mass
         if abs(mass - a) > 1e-12 * (1.0 + a):
             mass_ok = False
-        kappa = float(rng.uniform(0.5, 2.0))
-        cgap = action_consistency(metric, ConformalFactor.constant(kappa), loop, resolution)
         if cgap > 1e-12 * (1.0 + kappa * a):
             const_ok = False
         records.append({"kind": "consistency", "trial": trial, "gap": gap,
@@ -342,6 +344,8 @@ def run_consistency(cfg: dict, seed: int):
 def run_semicontinuity(cfg: dict, seed: int):
     trials = _count(cfg, "trials", 100)
     k_lo, k_hi = 1, _count(cfg, "k_max", 20)
+    if k_hi > 1074:  # 2^-k underflows to 0 past the least subnormal double, 2^-1074
+        raise ConfigError(f"key 'k_max': expected 1 <= k_max <= 1074, got {k_hi}")
     tail_k = get_int(cfg, "tail_k", 10)
     if not k_lo <= tail_k <= k_hi:
         raise ConfigError(f"key 'tail_k': expected 1 <= tail_k <= k_max = {k_hi}, got {tail_k}")

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import InputDomainError, ResolutionMismatchError
 from .fourier import Fourier2D, on_axes
-from .loops import DiscreteLoop, LoopMeasure, action, loop_measure
+from .loops import DiscreteLoop, LoopMeasure, action
 from .metrics import ConformalFactor, ConformalMetric, FinslerMetric
 
 
@@ -65,17 +65,13 @@ def pairing(factor: Fourier2D, mu: GridMeasure) -> float:
 
 
 def action_consistency(metric: FinslerMetric, factor: ConformalFactor, loop: DiscreteLoop,
-                       resolution: int = 256) -> float:
-    """|rescaled action of the loop - pairing(factor, pushforward)|.
+                       grid: GridMeasure) -> float:
+    """|rescaled action of the loop - pairing(factor, grid)|, grid the loop's pushforward.
 
     Bounded by Lip(factor) * (cell diagonal / 2) * total mass: the pairing
     evaluates the factor at cell centers, the action at segment midpoints.
     """
-    scaled = ConformalMetric(metric, factor)
-    a = action(scaled, loop)
-    cap = float(np.linalg.norm(loop.velocities, axis=1).max()) * (1.0 + 1e-12)
-    mu = loop_measure(metric, loop, cap)
-    return abs(a - pairing(factor, pushforward(metric, mu, resolution)))
+    return abs(action(ConformalMetric(metric, factor), loop) - pairing(factor, grid))
 
 
 @dataclass(frozen=True)

@@ -185,8 +185,8 @@ def exposing_functional(body: ConvexBody, eps: float, seed: int = 0) -> Function
 class PerturbationResult:
     functional: Functional
     t: float
-    diameter_before: float
-    diameter_after: float
+    before: ArgminSet  # of f
+    after: ArgminSet  # of the returned functional f*
     tested_t: tuple[float, ...] = field(repr=False, default=())
 
 
@@ -212,10 +212,8 @@ def shrink_argmin(f: Functional, body: ConvexBody, eps: float, delta: float,
     if eps <= 0 or delta <= 0:
         raise InputDomainError("eps and delta must be positive")
     base = argmin_set(f, body)
-    if len(base.active_indices) == len(body.vertices):
-        face = body
-    else:
-        face = ConvexBody(body.vertices[list(base.active_indices)])
+    whole = len(base.active_indices) == len(body.vertices)
+    face = body if whole else ConvexBody(body.vertices[list(base.active_indices)])
     g = exposing_functional(face, eps / 2.0, seed=seed)
     m0 = float(g(face.vertices).min())
     tested = []
@@ -250,9 +248,7 @@ def shrink_argmin(f: Functional, body: ConvexBody, eps: float, delta: float,
                 f"active vertex of the perturbed functional escapes the exposed face "
                 f"at t = {t:g}")
         if a.diameter <= eps:
-            return PerturbationResult(functional=fs, t=t,
-                                      diameter_before=base.diameter,
-                                      diameter_after=a.diameter,
+            return PerturbationResult(functional=fs, t=t, before=base, after=a,
                                       tested_t=tuple(tested))
     raise PerturbationFailureError(
         f"schedule of {_HALVINGS} halvings exhausted without shrinking the argmin")

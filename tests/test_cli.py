@@ -168,7 +168,7 @@ def test_run_zero_trials_exits_2(tmp_path, experiment):
 
 
 @pytest.mark.parametrize("setting", ["tail_k = 0", "tail_k = -3", "tail_k = 25",
-                                     "k_max = 5", "k_max = 0"])
+                                     "k_max = 5", "k_max = 0", "k_max = 1075", "k_max = 2000"])
 def test_run_semicontinuity_tail_outside_scales_exits_2(tmp_path, capsys, setting):
     # the tail starts at scale 2^-tail_k of 2^-1 ... 2^-k_max (default 10 of 20)
     cfg = write(tmp_path, "tail.cfg", f"experiment = semicontinuity\ntrials = 2\n{setting}\n")
@@ -178,6 +178,31 @@ def test_run_semicontinuity_tail_outside_scales_exits_2(tmp_path, capsys, settin
     assert err.startswith("torusgeo: error: key ") and err.count("\n") == 1
     assert setting.split()[0] in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("values", ["0.2,0.0", "0.1,0.1", "-0.1,0.2", "0.0"])
+def test_run_uniqueness_t_values_out_of_order_exits_2(tmp_path, capsys, values):
+    # the perturbed checks read the last t, spread_monotone the list in order
+    cfg = write(tmp_path, "uni.cfg", f"experiment = uniqueness\nt_values = {values}\n")
+    out = tmp_path / "uni.jsonl"
+    assert main(["run", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("torusgeo: error: key 't_values'") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_integer_keys_exact_past_2_pow_53(tmp_path):
+    # a float would read 2^53 + 1 as 2^53
+    assert get_int({"seed": str(2 ** 53 + 1)}, "seed", 0) == 2 ** 53 + 1
+    assert get_int({"n": "1e15"}, "n", 0) == 10 ** 15
+    reports = []
+    for seed in (2 ** 53, 2 ** 53 + 1):
+        cfg = write(tmp_path, "mane.cfg", f"experiment = mane-polytope\ntrials = 3\nseed = {seed}\n")
+        out = str(tmp_path / f"{seed}.jsonl")
+        assert main(["run", cfg, "--out", out]) == 0
+        reports.append(read_report(out)[1:])
+    assert reports[0][0]["config"]["seed"] == str(2 ** 53)
+    assert reports[0][1:] != reports[1][1:]
 
 
 @pytest.mark.parametrize("text, flags, unread", [
@@ -284,6 +309,73 @@ def test_cs_property_evaluates_each_loop_once(monkeypatch):
     # per loop, outside the reparametrization: one evaluation of the input
     # loop (its cs_gap), then one of the reparametrized loop (its residual)
     assert len(calls) == 3 * 2
+
+
+def outer_speed_calls(monkeypatch) -> list:
+    """Each metric's speed calls, a conformal metric's call of its base's speed not counted."""
+    from torusgeo import metrics
+    calls, depth = [], []
+    for cls in (metrics.RiemannianMetric, metrics.RandersMetric, metrics.ConformalMetric):
+        def speed(self, x, v, _real=cls.speed):
+            if not depth:
+                calls.append(1)
+            depth.append(1)
+            try:
+                return _real(self, x, v)
+            finally:
+                depth.pop()
+        monkeypatch.setattr(cls, "speed", speed)
+    return calls
+
+
+def test_consistency_pushes_each_loop_forward_once(monkeypatch):
+    from torusgeo import experiments, measures
+    pushed, drawn = [], []
+
+    def push(*args, _real=experiments.pushforward):
+        pushed.append(len(drawn))
+        return _real(*args)
+
+    def draw(*args, _real=experiments.random_loop, **kwargs):
+        drawn.append(1)
+        return _real(*args, **kwargs)
+
+    for module in (experiments, measures):
+        monkeypatch.setattr(module, "pushforward", push)
+    monkeypatch.setattr(experiments, "random_loop", draw)
+    speeds = outer_speed_calls(monkeypatch)
+    records, checks = experiments.run_consistency({"trials": "10"}, 1)
+    assert all(checks.values())
+    # one grid per trial serves the gap, the mass identity and the constant factor's gap
+    assert pushed == list(range(1, 11))
+    # per trial: the loop's action, the factor's and the constant's rescaled
+    # actions, and the pushforward's weights
+    assert len(speeds) == 10 * 4
+
+
+def test_mane_polytope_reads_the_argmin_sets_shrink_argmin_computed(monkeypatch):
+    from torusgeo import experiments, polytope
+    calls, shrinking = [], []
+
+    def argmin(*args, _real=polytope.argmin_set, **kwargs):
+        calls.append(bool(shrinking))
+        return _real(*args, **kwargs)
+
+    def shrink(*args, _real=experiments.shrink_argmin, **kwargs):
+        shrinking.append(1)
+        try:
+            return _real(*args, **kwargs)
+        finally:
+            shrinking.pop()
+
+    monkeypatch.setattr(polytope, "argmin_set", argmin)
+    monkeypatch.setattr(experiments, "argmin_set", argmin, raising=False)
+    monkeypatch.setattr(experiments, "shrink_argmin", shrink)
+    records, checks = experiments.run_mane_polytope({}, 2)
+    assert all(checks.values())
+    assert all(calls)  # every argmin set is shrink_argmin's own
+    # per trial: f's argmin, one exposing draw and one tested step
+    assert len(calls) == 100 * 3
 
 
 def test_speed_cap_lengths_exact_catches_a_long_loop(monkeypatch):

@@ -154,9 +154,10 @@ def test_consistency_exact_for_constants():
     rng = np.random.default_rng(4)
     base = DiscreteLoop.straight((1, 1), 20)
     loop = DiscreteLoop(base.vertices + 0.03 * rng.standard_normal((20, 2)), (1, 1))
-    assert action_consistency(euclidean(), ConformalFactor.constant(1.0), loop) \
+    grid = pushforward(euclidean(), measure_of(loop), 256)
+    assert action_consistency(euclidean(), ConformalFactor.constant(1.0), loop, grid) \
         == pytest.approx(0.0, abs=1e-13)
-    assert action_consistency(euclidean(), ConformalFactor.constant(2.5), loop) \
+    assert action_consistency(euclidean(), ConformalFactor.constant(2.5), loop, grid) \
         == pytest.approx(0.0, abs=1e-12)
 
 
@@ -166,7 +167,8 @@ def test_consistency_within_lipschitz_bound():
     for _ in range(5):
         base = DiscreteLoop.straight((1, 0), 32)
         loop = DiscreteLoop(base.vertices + 0.02 * rng.standard_normal((32, 2)), (1, 0))
-        gap = action_consistency(euclidean(), factor, loop, resolution=256)
+        gap = action_consistency(euclidean(), factor, loop,
+                                 pushforward(euclidean(), measure_of(loop), 256))
         lip = factor.sup_gradient_norm(512)
         bound = lip * (np.sqrt(2.0) / 256) * action(euclidean(), loop)
         assert gap <= bound

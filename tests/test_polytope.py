@@ -209,7 +209,7 @@ def test_shrink_zero_functional_on_square():
     res = shrink_argmin(Functional.zero(2), SQUARE, eps=1e-3, delta=1.0, seed=0)
     a = argmin_set(res.functional, SQUARE)
     assert len(a.active_indices) == 1
-    assert res.diameter_after == 0.0
+    assert res.after.diameter == 0.0
     # f = 0: m(f + t g) = t * min g over the argmin face, the equality case
     g = Functional(res.functional.coefficients / res.t)
     m0 = float(g(SQUARE.vertices).min())
@@ -222,7 +222,7 @@ def test_shrink_already_unique_first_try():
     assert len(res.tested_t) == 1
     # delta / ||g||, trimmed: the computed ||g|| of the unit draw may round below 1
     assert res.t <= 0.5
-    assert res.diameter_after == 0.0
+    assert res.after.diameter == 0.0
     assert np.linalg.norm(res.functional.coefficients - f.coefficients) <= 0.5
 
 
@@ -233,14 +233,14 @@ def test_shrink_delta_below_tolerance_resolution():
         shrink_argmin(f, SQUARE, eps=1e-3, delta=1e-10)
     res = shrink_argmin(f, SQUARE, eps=1e-3, delta=1e-8)
     assert res.t == 1.0000000000000002e-8
-    assert res.diameter_after == 0.0
+    assert res.after.diameter == 0.0
 
 
 def test_shrink_degenerate_segment():
     seg = ConvexBody([(0.0, 0.0), (1.0, 0.0)])
     res = shrink_argmin(Functional((0.0, 1.0)), seg, eps=1e-6, delta=1.0, seed=2)
-    assert res.diameter_before == pytest.approx(1.0)
-    assert res.diameter_after == 0.0
+    assert res.before.diameter == pytest.approx(1.0)
+    assert res.after.diameter == 0.0
     a = argmin_set(res.functional, seg)
     assert len(a.active_indices) == 1
 
@@ -256,7 +256,21 @@ def test_shrink_stays_in_neighborhood():
             res = shrink_argmin(f, body, eps=1e-3 * body.diameter, delta=delta, seed=trial)
             shift = float(np.linalg.norm(res.functional.coefficients - f.coefficients))
             assert shift <= delta
-            assert res.diameter_after <= 1e-3 * body.diameter
+            assert res.after.diameter <= 1e-3 * body.diameter
+
+
+def test_shrink_returns_its_argmin_sets():
+    # before is f's argmin set, after is f*'s: whole-body (f = 0), vertex and edge faces
+    rng = np.random.default_rng(8)
+    cases = [(SQUARE, Functional((1.0, 0.0)))]
+    for _ in range(20):
+        body = random_body(rng)
+        cases += [(body, Functional(size * rng.standard_normal(body.dimension)))
+                  for size in (0.0, 1.0, 1e3)]
+    for trial, (body, f) in enumerate(cases):
+        res = shrink_argmin(f, body, eps=1e-3 * body.diameter, delta=0.1, seed=trial)
+        assert res.before == argmin_set(f, body)
+        assert res.after == argmin_set(res.functional, body)
 
 
 # -- uniqueness_fraction --------------------------------------------------------------
@@ -281,5 +295,5 @@ def test_shrink_internal_inequalities_hypothesis(seed, size, delta):
     body = random_body(rng)
     f = Functional(size * rng.standard_normal(body.dimension))
     res = shrink_argmin(f, body, eps=1e-3 * body.diameter, delta=delta, seed=seed)
-    assert res.diameter_after <= 1e-3 * body.diameter
+    assert res.after.diameter <= 1e-3 * body.diameter
     assert np.linalg.norm(res.functional.coefficients - f.coefficients) <= delta
