@@ -160,12 +160,14 @@ def semicontinuity_probe(f: Functional, body: ConvexBody, perturbation: Function
                        diameter_violations=violations)
 
 
-def exposing_functional(body: ConvexBody, eps: float, seed: int = 0) -> Functional:
-    """A unit functional whose argmin face over the body has diameter <= eps.
+def exposing_functional(body: ConvexBody, eps: float,
+                        seed: int = 0) -> tuple[Functional, ArgminSet]:
+    """A unit functional g whose argmin face over the body has diameter <= eps, and that face.
 
-    A vertex of a polytope is exposed by a generic direction, so a uniform
-    draw on the sphere succeeds except on a measure-zero set; the draw is
-    repeated up to `_EXPOSING_DRAWS` times.
+    The face is the `argmin_set(g, body)` that accepted g. A vertex of a
+    polytope is exposed by a generic direction, so a uniform draw on the
+    sphere succeeds except on a measure-zero set; the draw is repeated up to
+    `_EXPOSING_DRAWS` times.
     """
     if eps <= 0:
         raise InputDomainError("eps must be positive")
@@ -176,8 +178,9 @@ def exposing_functional(body: ConvexBody, eps: float, seed: int = 0) -> Function
         if nv == 0.0:
             continue
         g = Functional(v / nv)
-        if argmin_set(g, body).diameter <= eps:
-            return g
+        face = argmin_set(g, body)
+        if face.diameter <= eps:
+            return g, face
     raise ExposureFailureError(f"no exposing direction found in {_EXPOSING_DRAWS} draws")
 
 
@@ -214,8 +217,8 @@ def shrink_argmin(f: Functional, body: ConvexBody, eps: float, delta: float,
     base = argmin_set(f, body)
     whole = len(base.active_indices) == len(body.vertices)
     face = body if whole else ConvexBody(body.vertices[list(base.active_indices)])
-    g = exposing_functional(face, eps / 2.0, seed=seed)
-    m0 = float(g(face.vertices).min())
+    g, exposed = exposing_functional(face, eps / 2.0, seed=seed)
+    m0 = exposed.value
     tested = []
     scale = 1.0 + abs(base.value)
     for k in range(_HALVINGS):

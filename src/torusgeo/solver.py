@@ -2,16 +2,20 @@
 
 The objective is the action A_F, not the length: the length is degenerate
 under reparametrization, while action minimizers are constant-speed length
-minimizers (Cauchy-Schwarz equality). The descent direction is the gradient
-preconditioned by the inverse loop Laplacian (a Sobolev gradient, solved per
-coordinate with the FFT); this removes the N^2 stiffness of the fine vertex
-modes while the stopping test stays on the raw gradient. Steps are chosen by
-Armijo backtracking, so the action sequence is strictly non-increasing.
+minimizers (Cauchy-Schwarz equality). The descent is limited-memory BFGS
+(Nocedal & Wright, *Numerical Optimization*, ch. 7) whose initial inverse
+Hessian is a multiple of the inverse loop Laplacian: a Sobolev
+preconditioner, solved per coordinate with the FFT, which removes the N^2
+stiffness of the fine vertex modes, while the pairs learn the slow modes the
+metric adds (on a bump, the transverse one). The stopping test stays on the
+raw gradient.
 
-The step constants are fixed: a trial step starts at `_STEP_INIT` and
-shrinks by `_STEP_SHRINK` until the action drops by `_ARMIJO` times the step
-times the directional slope; an accepted step doubles the next trial step,
-up to `_STEP_INIT`.
+A trial step starts at 1 and shrinks by `_STEP_SHRINK` until it passes
+Armijo's test (the action drops by `_ARMIJO` times the step times the
+directional slope) or, where that drop is below rounding, Hager and Zhang's
+approximate Wolfe test (*SIAM J. Optim.* 16, 2005), which lets the action
+rise by at most `_FLOOR_ULPS` eps |a|. So the action sequence is
+non-increasing except for at most that rise per step at the rounding floor.
 """
 from __future__ import annotations
 
@@ -30,9 +34,13 @@ from .loops import (
 )
 from .metrics import FinslerMetric, comparison_constant
 
-_STEP_INIT = 1.0
 _STEP_SHRINK = 0.5
 _ARMIJO = 1e-4
+_FLOOR_ULPS = 16.0  # the approximate Wolfe test's allowed rise, in units of eps |a|
+_WOLFE_DELTA = 0.1
+_WOLFE_SIGMA = 0.9
+_MEMORY = 8  # (s, y) pairs kept per start
+_POLISH_STEPS = 6
 _LENGTH_TOL_REL = 1e-3
 _JITTER = 0.05
 _PRECOND_SHIFT = 0.5
@@ -132,19 +140,88 @@ class SolveResult:
     iterations: int
     action: float
     length: float
+    stop: str  # "gradient" (converged), "stall" or "max_iters"
     action_history: list = field(default_factory=list, repr=False)
+
+
+def _rows(a: np.ndarray) -> np.ndarray:
+    """An (S, N, 2) array as S rows of length 2N, also for S = 0."""
+    return a.reshape(len(a), a.shape[1] * a.shape[2])
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise inner products of (S, N, 2) arrays, shape (S,)."""
+    return _rows(a * b).sum(axis=1)
+
+
+def _sup(g: np.ndarray) -> np.ndarray:
+    """Row-wise sup-norms of an (S, N, 2) array, shape (S,)."""
+    return _rows(np.abs(g)).max(axis=1)
+
+
+def _lbfgs_direction(g, live, mem_s, mem_y, rho, gamma, symbol) -> np.ndarray:
+    """H g for the starts `live`, H their L-BFGS inverse Hessian with H0 = gamma * P^-1.
+
+    This is the two-loop recursion (Nocedal & Wright, Algorithm 7.4). mem_s
+    and mem_y, shape (S, m, N, 2), hold each start's (s, y) pairs newest
+    first; rho = 1 / s.y, shape (S, m), is 0 in a slot holding no pair, which
+    then changes nothing.
+    """
+    rho, gamma = rho[live], gamma[live]
+    used = int((rho > 0).sum(axis=1).max())
+    q = g.copy()
+    alpha = np.empty((len(g), used))
+    for k in range(used):
+        alpha[:, k] = rho[:, k] * _dot(mem_s[live, k], q)
+        q -= alpha[:, k, None, None] * mem_y[live, k]
+    r = gamma[:, None, None] * _precondition(q, symbol)
+    for k in reversed(range(used)):
+        beta = rho[:, k] * _dot(mem_y[live, k], r)
+        r += (alpha[:, k] - beta)[:, None, None] * mem_s[live, k]
+    return r
+
+
+def _accepted(a, an, step, slope, slope_new) -> np.ndarray:
+    """Armijo's test, or Hager and Zhang's approximate Wolfe test at the rounding floor.
+
+    The trial x - step * d has action an and slope_new = g_new . d, against
+    the action a and slope = g . d at x. The second test lets the action rise
+    by at most `_FLOOR_ULPS` eps |a|, where Armijo's decrease is below rounding.
+    """
+    armijo = an <= a - _ARMIJO * step * slope
+    floor = ((an <= a + _FLOOR_ULPS * np.finfo(float).eps * np.abs(a))
+             & (slope_new >= -(1.0 - 2.0 * _WOLFE_DELTA) * slope)
+             & (slope_new <= _WOLFE_SIGMA * slope))
+    return armijo | floor
 
 
 def _descend(metric: FinslerMetric, winding: tuple[int, int], config: SolverConfig,
              x0: np.ndarray) -> list[SolveResult]:
     """Descend from S starts x0, shape (S, N, 2), as one array program.
 
-    Each start keeps its own step, Armijo test, stopping test and iteration
-    count, exactly as if it ran alone. A start leaves the live set when it
-    converges or its line search stalls; the backtracking runs on the starts
-    whose trial step is still pending. Each trial is evaluated with its
-    gradient, and the accepted trial's gradient serves the next iteration, so
-    an iteration costs about one metric kernel call. Memory is O(S * N).
+    Each start takes preconditioned L-BFGS steps: `_MEMORY` (s, y) pairs and
+    the initial inverse Hessian gamma * P^-1, P the Sobolev preconditioner
+    and gamma = s.y / y.P^-1 y of the newest pair (1 with no pair). A step
+    whose direction is not a descent direction, or a start with no pairs,
+    uses P^-1 g: a plain step. The trial step starts at 1 and shrinks by
+    `_STEP_SHRINK` until `_accepted`: Armijo's test, or the approximate Wolfe
+    test at the rounding floor. So the action never rises, except by at most
+    `_FLOOR_ULPS` eps |a| per step at that floor. An accepted step stores its
+    pair when s.y > 0.
+
+    A line search stalls after 60 trials, or at once when a trial leaves x
+    bitwise unchanged. A stalled quasi-Newton step clears the start's pairs,
+    and the start goes on with a plain step; a stalled plain step ends the
+    start unconverged. A start converges when the sup-norm of its raw
+    gradient is at most grad_tol; it then takes up to `_POLISH_STEPS` unit
+    plain steps, each kept only when accepted with the gradient still within
+    grad_tol, which equalize its vertices (the sliding modes) that the
+    stopping test leaves loose.
+
+    Each start keeps its own step, tests, pairs and iteration count, exactly
+    as if it ran alone. Each trial is evaluated with its gradient, and the
+    accepted trial's gradient serves the next iteration, so an iteration
+    costs about one metric kernel call. Memory is O(S * N * `_MEMORY`).
     """
     x = np.array(x0, dtype=float)
     _require_finite(x)
@@ -153,23 +230,34 @@ def _descend(metric: FinslerMetric, winding: tuple[int, int], config: SolverConf
     symbol = _precond_factors(n, kappa)
     a, grad = _evaluate(metric, x, winding)
     histories = [[float(ai)] for ai in a]
-    step = np.full(n_starts, _STEP_INIT)
+    mem_s = np.zeros((n_starts, _MEMORY, n, 2))
+    mem_y = np.zeros_like(mem_s)
+    rho = np.zeros((n_starts, _MEMORY))
+    gamma = np.ones(n_starts)
     iterations = np.zeros(n_starts, dtype=int)
     converged = np.zeros(n_starts, dtype=bool)
+    stalled = np.zeros(n_starts, dtype=bool)
     live = np.arange(n_starts)
     for it in range(1, config.max_iters + 1):
         if not len(live):
             break
         iterations[live] = it
         g = grad[live]
-        done = np.abs(g).reshape(len(live), -1).max(axis=1) <= config.grad_tol
+        done = _sup(g) <= config.grad_tol
         converged[live[done]] = True
         live, g = live[~done], g[~done]
         if not len(live):
             break
-        d = _precondition(g, symbol)
-        slope = (g * d).reshape(len(live), -1).sum(axis=1)
-        s = step[live]
+        d = _lbfgs_direction(g, live, mem_s, mem_y, rho, gamma, symbol)
+        slope = _dot(g, d)
+        plain = rho[live, 0] == 0.0
+        bad = slope <= 0.0
+        if bad.any():
+            d[bad] = _precondition(g[bad], symbol)
+            slope[bad] = _dot(g[bad], d[bad])
+            plain |= bad
+        s = np.ones(len(live))
+        accepted = np.zeros(len(live), dtype=bool)
         pending = np.arange(len(live))  # positions in `live` still backtracking
         for _ in range(60):
             if not len(pending):
@@ -177,37 +265,85 @@ def _descend(metric: FinslerMetric, winding: tuple[int, int], config: SolverConf
             idx = live[pending]
             xn = x[idx] - s[pending, None, None] * d[pending]
             _require_finite(xn)
+            # a trial that leaves x unchanged has stalled: shorter ones would too
+            moved = _rows(xn != x[idx]).any(axis=1)
+            pending, idx, xn = pending[moved], idx[moved], xn[moved]
+            if not len(pending):
+                break
             an, gn = _evaluate(metric, xn, winding)
-            ok = an <= a[idx] - _ARMIJO * s[pending] * slope[pending]
+            ok = _accepted(a[idx], an, s[pending], slope[pending], _dot(gn, d[pending]))
+            _store_pairs(idx[ok], xn[ok] - x[idx[ok]], gn[ok] - grad[idx[ok]],
+                         mem_s, mem_y, rho, gamma, symbol)
             x[idx[ok]], a[idx[ok]], grad[idx[ok]] = xn[ok], an[ok], gn[ok]
+            accepted[pending[ok]] = True
             pending = pending[~ok]
             s[pending] *= _STEP_SHRINK
-        # a start still pending has stalled at numerical precision
-        moved = np.ones(len(live), dtype=bool)
-        moved[pending] = False
-        live, s = live[moved], s[moved]
-        for i in live:
+        for i in live[accepted]:
             histories[i].append(float(a[i]))
-        step[live] = np.minimum(s * 2.0, _STEP_INIT)
+        # a stalled quasi-Newton step forgets its pairs and retries with a plain step
+        retry = ~accepted & ~plain
+        rho[live[retry]], gamma[live[retry]] = 0.0, 1.0
+        stalled[live[~accepted & plain]] = True
+        live = live[accepted | retry]
 
+    _polish(metric, winding, config, np.flatnonzero(converged), x, a, grad, symbol, histories)
     results = []
     for i in range(n_starts):
         out = reparametrize_constant_speed(metric, DiscreteLoop(x[i], winding))
         total, a_out = _length_action(segment_lengths(metric, out))
+        stop = "gradient" if converged[i] else "stall" if stalled[i] else "max_iters"
         results.append(SolveResult(loop=out, converged=bool(converged[i]),
                                    iterations=int(iterations[i]), action=float(a_out),
-                                   length=float(total), action_history=histories[i]))
+                                   length=float(total), stop=stop, action_history=histories[i]))
     return results
+
+
+def _store_pairs(idx, s, y, mem_s, mem_y, rho, gamma, symbol) -> None:
+    """Push each (s, y) with s.y > 0 as start idx's newest pair, dropping its oldest."""
+    sy = _dot(s, y)
+    keep = sy > 0.0
+    idx, s, y, sy = idx[keep], s[keep], y[keep], sy[keep]
+    if not len(idx):
+        return
+    for mem, new in ((mem_s, s), (mem_y, y)):
+        mem[idx, 1:] = mem[idx, :-1]
+        mem[idx, 0] = new
+    rho[idx, 1:] = rho[idx, :-1]
+    rho[idx, 0] = 1.0 / sy
+    gamma[idx] = sy / _dot(y, _precondition(y, symbol))
+
+
+def _polish(metric, winding, config, idx, x, a, grad, symbol, histories) -> None:
+    """Up to `_POLISH_STEPS` unit plain steps from the converged starts idx, in place.
+
+    A step is kept when `_accepted` holds and the new gradient's sup-norm is
+    still at most grad_tol; a start's first rejected step ends its polish.
+    """
+    for _ in range(_POLISH_STEPS):
+        if not len(idx):
+            break
+        g = grad[idx]
+        d = _precondition(g, symbol)
+        xn = x[idx] - d
+        an, gn = _evaluate(metric, xn, winding)
+        ok = (_accepted(a[idx], an, 1.0, _dot(g, d), _dot(gn, d))
+              & (_sup(gn) <= config.grad_tol))
+        idx, xn, an, gn = idx[ok], xn[ok], an[ok], gn[ok]
+        x[idx], a[idx], grad[idx] = xn, an, gn
+        for i in idx:
+            histories[i].append(float(a[i]))
 
 
 def shortest_loop(metric: FinslerMetric, winding: tuple[int, int], config: SolverConfig,
                   init: DiscreteLoop | None = None) -> SolveResult:
     """Minimize the discrete action over vertex positions at fixed winding.
 
-    The returned loop is reparametrized to constant F-speed; its action never
-    exceeds that of the initial loop, which is `init` or, when None, a jittered
-    straight loop drawn from config.seed. Non-convergence within max_iters
-    returns the best iterate flagged `converged=False`.
+    The returned loop is reparametrized to constant F-speed; its action does
+    not exceed that of the initial loop, which is `init` or, when None, a
+    jittered straight loop drawn from config.seed, except by the rises of at
+    most `_FLOOR_ULPS` eps |a| per step that `_descend` allows at the rounding
+    floor. Non-convergence within max_iters, or a stalled line search,
+    returns the last iterate flagged `converged=False`, its `stop` saying which.
     """
     require_nontrivial(winding)
     rng = np.random.default_rng(config.seed)

@@ -177,25 +177,29 @@ def test_probe_random_bodies_no_violations():
 # -- exposing_functional ----------------------------------------------------------
 
 def test_expose_unit_square():
-    g = exposing_functional(SQUARE, eps=0.1, seed=0)
-    assert argmin_set(g, SQUARE).diameter <= 0.1
+    g, face = exposing_functional(SQUARE, eps=0.1, seed=0)
+    assert face == argmin_set(g, SQUARE)
+    assert face.diameter <= 0.1
     assert g.norm == pytest.approx(1.0)
 
 
 def test_expose_single_point_body():
     pt = ConvexBody([(0.3, -0.7, 2.0)])
-    g = exposing_functional(pt, eps=1e-9, seed=1)
-    assert argmin_set(g, pt).diameter == 0.0
+    g, face = exposing_functional(pt, eps=1e-9, seed=1)
+    assert face == argmin_set(g, pt)
+    assert face.diameter == 0.0
 
 
 def test_expose_random_bodies_hits_single_vertex():
     rng = np.random.default_rng(4)
     for trial in range(50):
         body = random_body(rng)
-        g = exposing_functional(body, eps=1e-6, seed=trial)
+        g, face = exposing_functional(body, eps=1e-6, seed=trial)
         # oracle: the drawn direction's argmin is exactly one vertex
         vals = g(body.vertices)
         assert (vals <= vals.min() + 1e-9 * (1 + abs(vals.min()))).sum() == 1
+        assert face == argmin_set(g, body)
+        assert face.value == float(vals.min())
 
 
 def test_expose_rejects_nonpositive_eps():
