@@ -260,9 +260,10 @@ def reparametrize_constant_speed(metric: FinslerMetric, loop: DiscreteLoop) -> D
         return u, gap, total
 
     # a stall can pin a vertex on a kink of the chain; restarting with a
-    # shifted sampling phase moves the solution off the kink
+    # shifted sampling phase moves the solution off the kink. The eighth
+    # phases run only once the quarter phases have all stalled.
     best_u, best_gap = None, np.inf
-    for phase in (0.0, 0.5, 0.25, 0.75):
+    for phase in (0.0, 0.5, 0.25, 0.75, 0.125, 0.375, 0.625, 0.875):
         u = knots + phase
         u, gap, total = attempt(u, first if phase == 0.0 else evaluate(u))
         if gap < best_gap:

@@ -372,31 +372,96 @@ def loop_distance(a: DiscreteLoop, b: DiscreteLoop) -> float:
     return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
 
 
-_DISTANCE_BLOCK = 4  # loops compared at once: (block, N, N) arrays keep memory small
+_DISTANCE_BLOCK = 4  # pairs compared at once: (block, N, N) arrays keep memory small
+_PIVOTS = 4  # loops whose exact distance rows bound every other pair
+_BOUND_SLACK = 1e-12  # widens the pivot bounds past rounding, see `_spread_links`
 
 
-def _distance_table(loops: list[DiscreteLoop]) -> np.ndarray:
-    """All pairwise `loop_distance` values of same-class loops with equal N, as a table.
+def _pair_distances(pts: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """`loop_distance` of the loops i[k] and j[k], for reduced vertex sets pts (m, N, 2).
 
-    Each loop meets a block of later loops at once as (k, N, N) arrays per
+    The pairs meet in blocks of `_DISTANCE_BLOCK` as (k, N, N) arrays per
     coordinate. The vertices are reduced mod 1 once, so coordinate gaps lie in
     [0, 1] and need no further reduction; the root is taken after min/max,
-    which it commutes with, so the table equals `loop_distance` exactly.
+    which it commutes with, so each value equals `loop_distance` exactly.
+    """
+    out = np.empty(len(i))
+    for s in range(0, len(i), _DISTANCE_BLOCK):
+        a, b = pts[i[s:s + _DISTANCE_BLOCK]], pts[j[s:s + _DISTANCE_BLOCK]]
+        dx = np.abs(a[:, :, None, 0] - b[:, None, :, 0])
+        dy = np.abs(a[:, :, None, 1] - b[:, None, :, 1])
+        dx = np.minimum(dx, 1.0 - dx)
+        dy = np.minimum(dy, 1.0 - dy)
+        sq = dx * dx + dy * dy
+        out[s:s + _DISTANCE_BLOCK] = np.sqrt(np.maximum(sq.min(axis=2).max(axis=1),
+                                                        sq.min(axis=1).max(axis=1)))
+    return out
+
+
+def _spread_links(loops: list[DiscreteLoop], tol: float) -> tuple[float, np.ndarray]:
+    """The largest pairwise `loop_distance` of same-class loops with equal N, and the
+    (m, m) boolean graph of the pairs at distance <= tol, without computing every pair.
+
+    The distance is a metric, so exact rows for a few pivots bound every other
+    pair from both sides (Chavez, Navarro, Baeza-Yates and Marroquin,
+    "Searching in metric spaces", ACM Computing Surveys 33, 2001):
+
+    1. Rows for up to `_PIVOTS` pivots, chosen farthest-first: loop 0, then
+       each time the loop farthest from the pivots already chosen.
+    2. Each other pair (i, j) gets lb = max_p |d_pi - d_pj| - eps and
+       ub = min_p (d_pi + d_pj) + eps, with eps = `_BOUND_SLACK`.
+    3. A pair is computed exactly when its link is undecided (lb <= tol < ub)
+       or when it could hold the maximum (ub >= the largest distance computed
+       so far). Every other pair is linked iff ub <= tol.
+
+    eps covers rounding. Let u = 2^-53, the unit roundoff. Coordinates lie in
+    [0, 1], so each coordinate gap of `_pair_distances` is within u of the
+    exact torus gap, and distances are at most sqrt(0.5), so the square, sum
+    and root add at most 2u more; min and max add nothing, as the root is
+    monotone. Each computed distance is thus within 3u of the exact Hausdorff
+    distance of the reduced vertex sets, which obeys the triangle inequality,
+    and the bounds' own difference or sum and the shift by eps add at most
+    3u. So lb < d_ij < ub holds for the computed d_ij, with eps - 12u to
+    spare. Hence a pruned pair's link is that of its computed distance, a
+    pair left out of the maximum computes below a computed distance, and the
+    spread is the full table's maximum, bit for bit. In the worst case every
+    pair is computed.
     """
     pts = np.mod(np.stack([lp.vertices for lp in loops]), 1.0)
     m = len(loops)
-    dist = np.zeros((m, m))
-    for i in range(m - 1):
-        for j in range(i + 1, m, _DISTANCE_BLOCK):
-            block = pts[j:j + _DISTANCE_BLOCK]
-            dx = np.abs(pts[i, None, :, None, 0] - block[:, None, :, 0])
-            dy = np.abs(pts[i, None, :, None, 1] - block[:, None, :, 1])
-            dx = np.minimum(dx, 1.0 - dx)
-            dy = np.minimum(dy, 1.0 - dy)
-            sq = dx * dx + dy * dy
-            far = np.maximum(sq.min(axis=2).max(axis=1), sq.min(axis=1).max(axis=1))
-            dist[i, j:j + _DISTANCE_BLOCK] = dist[j:j + _DISTANCE_BLOCK, i] = np.sqrt(far)
-    return dist
+    near = np.eye(m, dtype=bool)
+    pivots: list[int] = []
+    rows = np.zeros((min(_PIVOTS, m), m))
+    # boolean masks, not np.setdiff1d: np.unique's first call in a process
+    # adds about 1 MiB to `uniqueness`'s peak memory
+    rest = np.ones(m, dtype=bool)
+    for k in range(len(rows)):
+        nearest = rows[:k].min(axis=0, initial=np.inf)  # all inf for k = 0: loop 0 first
+        nearest[~rest] = -1.0
+        p = int(np.argmax(nearest))
+        rows[k, pivots] = rows[:k, p]
+        pivots.append(p)
+        rest[p] = False
+        others = np.flatnonzero(rest)
+        rows[k, others] = _pair_distances(pts, np.full(len(others), p), others)
+        near[p] = near[:, p] = rows[k] <= tol
+    top = float(rows.max())
+
+    idx = np.arange(m)
+    i, j = np.nonzero(rest[:, None] & rest & (idx[:, None] < idx))
+    lb = np.abs(rows[:, i] - rows[:, j]).max(axis=0) - _BOUND_SLACK
+    ub = (rows[:, i] + rows[:, j]).min(axis=0) + _BOUND_SLACK
+    undecided = (lb <= tol) & (tol < ub)
+    near[i, j] = near[j, i] = ub <= tol
+    todo = undecided | (ub >= top)
+    while todo.any():
+        k = np.flatnonzero(todo)[:_DISTANCE_BLOCK]
+        d = _pair_distances(pts, i[k], j[k])
+        near[i[k], j[k]] = near[j[k], i[k]] = d <= tol
+        top = max(top, float(d.max()))
+        todo[k] = False
+        todo &= undecided | (ub >= top)
+    return top, near
 
 
 @dataclass(frozen=True)
@@ -419,8 +484,9 @@ class MinimizerReport:
         return len(self.clusters)
 
 
-def _single_linkage(dist: np.ndarray, tol: float) -> list[list[int]]:
-    """Index groups chained by distances <= tol, ordered by least member, each ascending.
+def _single_linkage(near: np.ndarray) -> list[list[int]]:
+    """Index groups chained by the links of the symmetric boolean graph near, whose
+    diagonal is set, ordered by least member, each ascending.
 
     Every index takes the least label among its neighbours until no label
     changes, so each group ends labelled by its least member, the one index
@@ -428,8 +494,7 @@ def _single_linkage(dist: np.ndarray, tol: float) -> list[list[int]]:
     by `np.unique` keeps `uniqueness`'s peak memory: np.unique's first call in
     a process adds about 1 MiB to it.
     """
-    near = dist <= tol
-    m = len(dist)
+    m = len(near)
     label = np.arange(m)
     while True:
         nxt = np.where(near, label, m).min(axis=1)
@@ -466,6 +531,14 @@ def minimizer_set(metric: FinslerMetric, winding: tuple[int, int],
     All starts (see `_starts`) descend together in one batch, each with its
     own step. Starts that do not converge are counted in `n_failed` and left
     out of the clusters.
+
+    The spread and the single-linkage links among the kept loops come from
+    `_spread_links`. Exact distance rows of up to `_PIVOTS` farthest-first
+    pivots bound every other pair by the triangle inequality, widened by
+    `_BOUND_SLACK` (1e-12) past the rounding of a computed distance (at most
+    3 * 2^-53 off the exact one); a pair is computed only when its bounds
+    leave its link undecided or let it hold the maximum. The spread and
+    every link are those of the full `loop_distance` table, bit for bit.
     """
     require_nontrivial(winding)
     solved = _descend(metric, winding, config, _starts(winding, config))
@@ -478,13 +551,12 @@ def minimizer_set(metric: FinslerMetric, winding: tuple[int, int],
     # canonical order: by length, then lexicographically by projected vertices
     kept.sort(key=lambda r: (r.length, tuple(np.round(np.mod(r.loop.vertices, 1.0), 12).ravel())))
     loops = [r.loop for r in kept]
-    dist = _distance_table(loops)
-    spread = float(dist.max())
+    spread, near = _spread_links(loops, config.cluster_tol)
     # each group's first member is its shortest loop, and the groups come in
     # the order of those loops, so the clusters keep the canonical order
     clusters = tuple(MinimizerCluster(representative=loops[idx[0]], size=len(idx),
                                       length=kept[idx[0]].length)
-                     for idx in _single_linkage(dist, config.cluster_tol))
+                     for idx in _single_linkage(near))
     return MinimizerReport(clusters=clusters, spread=spread,
                            best_length=best, n_converged=len(results),
                            n_failed=len(solved) - len(results))

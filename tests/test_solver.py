@@ -1,6 +1,7 @@
 """Action descent: ground truths, gradients, multiplicity reports, speed caps."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from torusgeo import (
     ConformalFactor,
@@ -22,7 +23,7 @@ from torusgeo import (
 from torusgeo.errors import InputDomainError, MalformedLoopError, TrivialClassError
 from torusgeo.fourier import Fourier2D
 from torusgeo.metrics import RiemannianMetric
-from torusgeo.solver import _descend, _distance_table, _evaluate, _single_linkage, _starts
+from torusgeo.solver import _descend, _evaluate, _single_linkage, _spread_links, _starts
 
 CFG = SolverConfig(n_vertices=64, max_iters=2000, grad_tol=1e-7, seed=0)
 
@@ -349,7 +350,13 @@ def test_loop_distance_identical_and_translates():
     assert loop_distance(a, c) == pytest.approx(0.4, abs=1e-12)  # wraparound
 
 
-def test_distance_table_equals_loop_distance():
+def _lines(heights, phases=None):
+    """Horizontal (1,0) 64-vertex lines at the given heights, sampled from the given x phases."""
+    phases = np.zeros(len(heights)) if phases is None else phases
+    return [DiscreteLoop.straight((1, 0), 64, offset=(x, y)) for x, y in zip(phases, heights)]
+
+
+def _wrap_loops():
     rng = np.random.default_rng(11)
     loops = [DiscreteLoop(DiscreteLoop.straight((2, 1), 16, offset=rng.uniform(-3, 3, 2)).vertices
                           + rng.uniform(-0.3, 0.3, (16, 2)), (2, 1)) for _ in range(5)]
@@ -358,13 +365,82 @@ def test_distance_table_equals_loop_distance():
     wrap = DiscreteLoop.straight((2, 1), 16).vertices.copy()
     wrap[:6] = [[0.0, 1.0], [1.0, 0.0], [-1.0, -1e-20], [-1e-20, 0.5],
                 [np.nextafter(1.0, 0.0), -0.0], [np.nextafter(0.0, 1.0), 2.0]]
-    loops += [DiscreteLoop(wrap, (2, 1)), DiscreteLoop(wrap - 1e-20, (2, 1))]
-    table = _distance_table(loops)
-    for i in range(len(loops)):
-        assert table[i, i] == 0.0
-        for j in range(len(loops)):
-            if i != j:
-                assert table[i, j] == loop_distance(loops[i], loops[j])
+    return loops + [DiscreteLoop(wrap, (2, 1)), DiscreteLoop(wrap - 1e-20, (2, 1))]
+
+
+def _assert_spread_links_exact(loops, tols):
+    """`_spread_links` at each tol against the brute-force table of every `loop_distance`."""
+    m = len(loops)
+    table = np.zeros((m, m))
+    for i in range(m):
+        for j in range(i + 1, m):
+            table[i, j] = table[j, i] = loop_distance(loops[i], loops[j])
+    for tol in tols:
+        spread, near = _spread_links(loops, tol)
+        assert spread == table.max()
+        assert np.array_equal(near, table <= tol)
+
+
+_LOOP_SETS = {
+    "wrap": _wrap_loops,
+    # the t = 0 shape: a continuum of translates
+    "heights": lambda: _lines(np.random.default_rng(3).random(50)),
+    # the t > 0 shape: one line sampled at other phases
+    "phases": lambda: _lines(np.full(50, 0.25), phases=np.random.default_rng(4).random(50) / 64),
+    "identical": lambda: _lines(np.full(10, 0.3)),
+    "one": lambda: _lines([0.3]),
+    "two": lambda: _lines([0.3, 0.45]),
+    "three": lambda: _lines([0.3, 0.45, 0.9]),
+    # the eighths from 1/8: the pivots are 1/8, 5/8, 3/8 and 7/8, so the
+    # lines at 1/4 and 1/2, exactly 0.25 apart, meet on the pruned path with
+    # both bounds at 0.25 -+ eps
+    "tol-pair": lambda: _lines(np.arange(1, 9) % 8 / 8),
+}
+
+
+@pytest.mark.parametrize("name", list(_LOOP_SETS))
+def test_spread_links_equals_loop_distance_table(name):
+    _assert_spread_links_exact(_LOOP_SETS[name](), (0.001, 0.004, 0.05, 0.25, 0.5))
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_spread_links_equals_loop_distance_table_hypothesis(seed):
+    # a few clusters of jittered lines in one class, so both bounds decide
+    # links and some pairs sit close to tol
+    rng = np.random.default_rng(seed)
+    winding = [(1, 0), (2, 1), (1, -1)][int(rng.integers(3))]
+    n = int(rng.integers(8, 33))
+    centers = rng.random((int(rng.integers(1, 4)), 2))
+    loops = []
+    for _ in range(int(rng.integers(1, 25))):
+        base = DiscreteLoop.straight(winding, n, offset=centers[rng.integers(len(centers))]
+                                     + rng.normal(0.0, 0.05, 2))
+        loops.append(DiscreteLoop(base.vertices + rng.uniform(-0.02, 0.02, (n, 2)), winding))
+    _assert_spread_links_exact(loops, [float(rng.uniform(0.0, 0.4))])
+
+
+def test_spread_links_computes_few_pairs(monkeypatch):
+    # at the uniqueness default config the pivot bounds settle most of the
+    # 1,225 pairs of the 50 kept loops at each t
+    from torusgeo import solver
+    from torusgeo.experiments import run_uniqueness
+    sizes, counts = [], []
+
+    def links(loops, tol, _real=solver._spread_links):
+        sizes.append(len(loops))
+        counts.append(0)
+        return _real(loops, tol)
+
+    def pairs(pts, i, j, _real=solver._pair_distances):
+        counts[-1] += len(i)
+        return _real(pts, i, j)
+
+    monkeypatch.setattr(solver, "_spread_links", links)
+    monkeypatch.setattr(solver, "_pair_distances", pairs)
+    run_uniqueness({}, 1)
+    assert sizes == [50, 50, 50, 50]
+    assert max(counts) <= 400, counts
 
 
 def test_loop_distance_rejects_winding_mismatch():
@@ -402,7 +478,7 @@ def test_single_linkage_equals_union_find():
         pts = rng.random((m, 2))
         dist = np.linalg.norm(pts[:, None] - pts[None], axis=-1)
         tol = rng.uniform(0.0, 0.3)
-        assert _single_linkage(dist, tol) == _union_find_groups(dist, tol)
+        assert _single_linkage(dist <= tol) == _union_find_groups(dist, tol)
 
 
 def test_single_linkage_follows_a_long_chain():
@@ -411,7 +487,7 @@ def test_single_linkage_follows_a_long_chain():
     rng = np.random.default_rng(18)
     pos = rng.permutation(np.concatenate([np.arange(30), np.arange(40, 70)])).astype(float)
     dist = np.abs(pos[:, None] - pos[None])
-    groups = _single_linkage(dist, 1.0)
+    groups = _single_linkage(dist <= 1.0)
     assert groups == _union_find_groups(dist, 1.0)
     assert [sorted(pos[g]) for g in groups] in ([list(range(30)), list(range(40, 70))],
                                                 [list(range(40, 70)), list(range(30))])
