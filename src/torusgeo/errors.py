@@ -14,7 +14,7 @@ class InvalidMetricError(TorusGeoError):
 
 
 class NotAConformalFactorError(TorusGeoError):
-    """A conformal factor is not strictly positive on the verification grid."""
+    """A conformal factor is not certified strictly positive on the torus."""
 
 
 class MalformedLoopError(TorusGeoError):

@@ -39,14 +39,17 @@ from .polytope import (
 from .solver import SolverConfig, minimizer_set, shortest_loop, verify_speed_cap
 
 
-def height_bump(t: float, center: float = 0.25) -> ConformalFactor:
-    """The conformal factor 1 + t * sin^2(pi * (y - center)).
+BUMP_TROUGH = 0.25  # the height y of `height_bump`'s trough line
 
-    Its unique minimum on the torus is lambda = 1 at y = center, so horizontal
-    loops through the trough are the only shortest ones for t > 0.
+
+def height_bump(t: float) -> ConformalFactor:
+    """The conformal factor 1 + t * sin^2(pi * (y - BUMP_TROUGH)).
+
+    Its unique minimum on the torus is lambda = 1 at y = BUMP_TROUGH, so
+    horizontal loops through the trough are the only shortest ones for t > 0.
     """
-    a = -(t / 2.0) * math.cos(2.0 * math.pi * center)
-    b = -(t / 2.0) * math.sin(2.0 * math.pi * center)
+    a = -(t / 2.0) * math.cos(2.0 * math.pi * BUMP_TROUGH)
+    b = -(t / 2.0) * math.sin(2.0 * math.pi * BUMP_TROUGH)
     return ConformalFactor(Fourier2D(1.0 + t / 2.0, {(0, 1): (a, b)}))
 
 
@@ -165,14 +168,13 @@ def run_uniqueness(cfg: dict, seed: int):
     if ts[0] < 0.0 or ts[-1] <= 0.0 or any(t2 <= t1 for t1, t2 in zip(ts, ts[1:])):
         raise ConfigError(f"key 't_values': expected strictly increasing values >= 0 "
                           f"ending above 0, got {cfg['t_values']!r}")
-    center = get_float(cfg, "bump_center", 0.25)
     scfg = dataclasses.replace(_solver_config(cfg, seed),
                                num_starts=get_int(cfg, "solver.num_starts", 50),
                                cluster_tol=get_float(cfg, "solver.cluster_tol", 0.05))
     records = []
     capped = True
     for t in ts:
-        metric = euclidean() if t == 0.0 else ConformalMetric(euclidean(), height_bump(t, center))
+        metric = euclidean() if t == 0.0 else ConformalMetric(euclidean(), height_bump(t))
         rep = minimizer_set(metric, gamma, scfg)
         capped = capped and all(verify_speed_cap(metric, c.representative)
                                 for c in rep.clusters)
@@ -195,7 +197,7 @@ def run_uniqueness(cfg: dict, seed: int):
         "spread_monotone": all(s2 <= s1 + 1e-9 for s1, s2 in zip(spreads, spreads[1:])),
         "perturbed_unique_cluster": last["n_clusters"] == 1,
         "perturbed_spread_small": last["spread"] <= 1e-2,
-        "perturbed_height": torus_gap(last["mean_height"], center) <= 0.02,
+        "perturbed_height": torus_gap(last["mean_height"], BUMP_TROUGH) <= 0.02,
         "perturbed_length": abs(last["best_length"] - expected_length) <= 5e-3 * expected_length,
         "minimizers_within_speed_cap": capped,
     }

@@ -132,9 +132,6 @@ class Fourier2D:
     def max_abs(self, n: int = 64) -> float:
         return float(np.abs(self.grid_values(n)).max())
 
-    def min_on_grid(self, n: int) -> float:
-        return float(self.grid_values(n).min())
-
     def sup_gradient_norm(self, n: int) -> float:
         """Max Euclidean norm of the gradient on an n x n grid (Lipschitz estimate)."""
         dx, dy = on_grid((self.derivative(1, 0), self.derivative(0, 1)), n)

@@ -208,7 +208,7 @@ def reparametrize_constant_speed(metric: FinslerMetric, loop: DiscreteLoop) -> D
     def newton_direction(u, chords, ell):
         # speed differences r_j = ell_{j+1} - ell_j have a tridiagonal
         # Jacobian in (u_1, ..., u_{n-1}); u_0 stays pinned at the pass's phase
-        gx, gv = metric.speed_sq_grads(*chords)
+        _, gx, gv = metric.kernel(*chords)
         inv = 0.5 / np.maximum(ell, 1e-300)
         fx, fv = gx * inv[:, None], gv * inv[:, None]
         t_lo = tangents[_segment_index(u, n)]

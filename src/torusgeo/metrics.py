@@ -3,9 +3,9 @@
 Three variants are supported: Riemannian metrics with Fourier coefficient
 fields, Randers metrics (Riemannian norm plus a drift one-form with pointwise
 dual norm below one), and conformal rescalings sqrt(lambda) * F by a positive
-factor. A conformal factor is a `Fourier2D` series that passed the positivity
-check of `ConformalFactor`, the one place positivity is verified; sums,
-products and derivatives of factors are plain series. All metrics are
+factor. Each validity check certifies one series positive (`_certify_positive`);
+a conformal factor is a `Fourier2D` series that passed it in `ConformalFactor`;
+sums, products and derivatives of factors are plain series. All metrics are
 positively homogeneous and strictly convex away from v = 0;
 Randers metrics are not differentiable across the zero section; where a loop
 has coincident vertices (v = 0) their kernel gives F = 0 and the limit
@@ -13,15 +13,16 @@ gradient 0.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .errors import InputDomainError, InvalidMetricError, NotAConformalFactorError
-from .fourier import FieldPass, Fourier2D, on_grid
+from .fourier import TWO_PI, FieldPass, Fourier2D, on_grid
 
-_VALIDATION_GRID = 64
-_POSITIVITY_GRID = 128
+_CERTIFY_GRIDS = tuple(16 * 2 ** i for i in range(7))  # n = 16, 32, ..., 1024
 _SEMINORM_GRID = 64
-_HESSIAN_STEP = 1e-4  # finite-difference step of `fiber_hessian`, relative to |v|
+_HESSIAN_STEP = 1e-4  # central-difference step of `fiber_hessian`, relative to |v|
 _CONVEXITY_TOL = 1e-6
 _COMPARISON_GRID = 32
 _COMPARISON_INFLATION = 1.01
@@ -33,8 +34,26 @@ def _as_series(c) -> Fourier2D:
     return Fourier2D(float(c))
 
 
+def _certify_positive(series: Fourier2D, error: type, what: str) -> None:
+    """Raise `error` unless `series` is certified positive on the whole torus.
+
+    Every point of T^2 lies within h/sqrt(2) of the n x n grid (h = 1/n), and
+    |grad f| <= Lip = 2 pi sum_k |k| sqrt(a^2 + b^2), so a grid minimum above
+    Lip h/sqrt(2) certifies f > 0. The grids of `_CERTIFY_GRIDS` are tried in turn.
+    """
+    lip = TWO_PI * sum(np.hypot(*k) * np.hypot(a, b) for k, (a, b) in series.modes.items())
+    for n in _CERTIFY_GRIDS:
+        m = float(on_grid((series,), n)[0].min())
+        if m <= 0.0:
+            raise error(f"{what} is not positive (min = {m:g} on the {n}x{n} grid)")
+        if m > lip / (n * np.sqrt(2.0)):
+            return
+    raise error(f"{what} is uncertified: its minimum {m:g} on the {n}x{n} grid is "
+                f"within the Lipschitz bound {lip / (n * np.sqrt(2.0)):g} of 0")
+
+
 class ConformalFactor(Fourier2D):
-    """A series verified positive on the `_POSITIVITY_GRID` grid.
+    """A series certified positive on the whole torus by `_certify_positive`.
 
     This is membership in the cone of admissible conformal factors. Sums,
     products and derivatives of factors are plain `Fourier2D` series;
@@ -46,11 +65,7 @@ class ConformalFactor(Fourier2D):
     def __init__(self, series):
         s = _as_series(series)
         super().__init__(s.const, s.modes)
-        m = self.min_on_grid(_POSITIVITY_GRID)
-        if m <= 0.0:
-            raise NotAConformalFactorError(
-                f"factor is not positive on the verification grid (min = {m:g})"
-            )
+        _certify_positive(self, NotAConformalFactorError, "factor")
 
     @classmethod
     def constant(cls, c: float) -> "ConformalFactor":
@@ -97,7 +112,7 @@ class FinslerMetric:
         return _broadcast(x, v, *self._kernel(self._passes[1](x[..., 0], x[..., 1]), v))
 
     def speed_sq_grads(self, x, v) -> tuple[np.ndarray, np.ndarray]:
-        """Gradients of F^2 with respect to x and v, each of shape (..., 2)."""
+        """Gradients of F^2 in x and v, each (..., 2): `kernel`'s, under a name the tracer wraps."""
         return self.kernel(x, v)[1:]
 
 
@@ -128,9 +143,9 @@ class RiemannianMetric(FinslerMetric):
         self._dg_live = tuple(not all(s.vanishes() for s in self._dg[3 * i:3 * i + 3])
                               for i in (0, 1))
         self._build_passes()
-        a, b, c = on_grid(g, _VALIDATION_GRID)
-        if a.min() <= 0.0 or (a * c - b * b).min() <= 0.0:
-            raise InvalidMetricError("Riemannian coefficient field is not positive definite")
+        _certify_positive(self.g11, InvalidMetricError, "Riemannian g11")
+        _certify_positive(self.g11 * self.g22 - self.g12 * self.g12, InvalidMetricError,
+                          "Riemannian det g")
 
     def _fields(self, grads):
         return (self.g11, self.g12, self.g22) + (self._dg if grads else ())
@@ -164,8 +179,8 @@ def euclidean() -> RiemannianMetric:
 class RandersMetric(FinslerMetric):
     """F(x, v) = |v|_g + beta_x(x) vx + beta_y(x) vy, with |beta|_{g*} < 1."""
 
-    def __init__(self, riemannian: RiemannianMetric | None = None, beta=(0.0, 0.0)):
-        self.riemannian = riemannian if riemannian is not None else euclidean()
+    def __init__(self, riemannian: RiemannianMetric, beta):
+        self.riemannian = riemannian
         self.beta_x, self.beta_y = (_as_series(beta[0]), _as_series(beta[1]))
         # (d beta_x, d beta_y) along x, then along y
         self._db = (self.beta_x.derivative(1, 0), self.beta_y.derivative(1, 0),
@@ -173,15 +188,10 @@ class RandersMetric(FinslerMetric):
         self._db_live = tuple(not (self._db[2 * i].vanishes() and self._db[2 * i + 1].vanishes())
                               for i in (0, 1))
         self._build_passes()
-        a, b, c, bx, by = on_grid(self.riemannian._fields(False) + (self.beta_x, self.beta_y),
-                                  _VALIDATION_GRID)
-        det = a * c - b * b
-        # dual norm: beta g^{-1} beta
-        dual = (c * bx ** 2 - 2.0 * b * bx * by + a * by ** 2) / det
-        if dual.max() >= 1.0:
-            raise InvalidMetricError(
-                f"Randers drift has dual norm >= 1 somewhere (max = {np.sqrt(dual.max()):g})"
-            )
+        # given det g > 0: |beta|_{g*} < 1 iff det g > g22 bx^2 - 2 g12 bx by + g11 by^2
+        (a, b, c), bx, by = self.riemannian._fields(False), self.beta_x, self.beta_y
+        _certify_positive(a * c - b * b - (c * bx * bx - 2.0 * b * bx * by + a * by * by),
+                          InvalidMetricError, "Randers margin det g (1 - |beta|_g*^2)")
 
     def _fields(self, grads):
         return (self.riemannian._fields(grads) + (self.beta_x, self.beta_y)
@@ -261,46 +271,37 @@ def evaluate(metric: FinslerMetric, x, v) -> float | np.ndarray:
     return float(out) if out.ndim == 0 else out
 
 
+@dataclass(frozen=True)
 class ConvexityReport:
     """Result of a sampled fiberwise-Hessian check."""
 
-    def __init__(self, min_eigenvalue, worst_x, worst_v, tolerance):
-        self.min_eigenvalue = float(min_eigenvalue)
-        self.worst_x = np.asarray(worst_x, float)
-        self.worst_v = np.asarray(worst_v, float)
-        self.tolerance = float(tolerance)
-        self.passed = self.min_eigenvalue > self.tolerance
+    min_eigenvalue: float
+    worst_x: np.ndarray
+    worst_v: np.ndarray
+    tolerance: float
 
-    def __repr__(self):
-        return (f"ConvexityReport(min_eigenvalue={self.min_eigenvalue:g}, "
-                f"passed={self.passed})")
+    @property
+    def passed(self) -> bool:
+        return self.min_eigenvalue > self.tolerance
 
 
 def fiber_hessian(metric: FinslerMetric, x, v) -> np.ndarray:
-    """Central finite-difference Hessian of v -> F^2(x, v), shape (..., 2, 2)."""
+    """Hessian of v -> F^2(x, v), shape (..., 2, 2), symmetrized.
+
+    The fields are evaluated at x once; row i is the central difference of
+    the kernel's exact gradient of F^2 in v along axis i, with step
+    `_HESSIAN_STEP` * |v|.
+    """
     x, v = np.asarray(x, float), np.asarray(v, float)
+    vals = metric._passes[1](x[..., 0], x[..., 1])
     h = _HESSIAN_STEP * np.linalg.norm(v, axis=-1, keepdims=True)
-
-    def f2(dv):
-        return metric.speed(x, v + dv) ** 2
-
-    e0 = np.zeros_like(v)
-    e0[..., 0] = h[..., 0]
-    e1 = np.zeros_like(v)
-    e1[..., 1] = h[..., 0]
-    hh = h[..., 0] ** 2
-    f00 = (f2(e0) - 2.0 * f2(0 * v) + f2(-e0)) / hh
-    f11 = (f2(e1) - 2.0 * f2(0 * v) + f2(-e1)) / hh
-    f01 = (f2(e0 + e1) - f2(e0 - e1) - f2(-e0 + e1) + f2(-e0 - e1)) / (4.0 * hh)
-    out = np.empty(v.shape[:-1] + (2, 2))
-    out[..., 0, 0] = f00
-    out[..., 1, 1] = f11
-    out[..., 0, 1] = out[..., 1, 0] = f01
-    return out
+    rows = [(metric._kernel(vals, v + h * e)[2] - metric._kernel(vals, v - h * e)[2]) / (2.0 * h)
+            for e in np.eye(2)]
+    hess = np.stack(rows, axis=-2)
+    return 0.5 * (hess + np.swapaxes(hess, -1, -2))
 
 
-def verify_convexity(metric: FinslerMetric, sample_count: int = 256,
-                     seed: int = 0) -> ConvexityReport:
+def verify_convexity(metric: FinslerMetric, sample_count: int, seed: int) -> ConvexityReport:
     """Sample random (x, v) with |v| = 1 and report the minimum Hessian eigenvalue.
 
     The check passes when that eigenvalue exceeds `_CONVEXITY_TOL`.
@@ -316,7 +317,7 @@ def verify_convexity(metric: FinslerMetric, sample_count: int = 256,
     disc = np.sqrt((hess[:, 0, 0] - hess[:, 1, 1]) ** 2 + 4.0 * hess[:, 0, 1] ** 2)
     lam_min = 0.5 * (tr - disc)
     i = int(np.argmin(lam_min))
-    return ConvexityReport(lam_min[i], x[i], v[i], _CONVEXITY_TOL)
+    return ConvexityReport(float(lam_min[i]), x[i], v[i], _CONVEXITY_TOL)
 
 
 def comparison_constant(metric: FinslerMetric) -> float:

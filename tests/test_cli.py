@@ -215,13 +215,32 @@ def test_integer_keys_exact_past_2_pow_53(tmp_path):
     # speed-cap solves one start per case and clusters nothing
     ("experiment = speed-cap\nsolver.num_starts = 7\n", [], "'speed-cap': solver.num_starts"),
     ("experiment = speed-cap\nsolver.cluster_tol = 0.3\n", [], "'speed-cap': solver.cluster_tol"),
+    # the bump's trough is fixed at y = 0.25
+    ("experiment = uniqueness\nt_values = 0.2\nsolver.num_starts = 2\nbump_center = 0.5\n", [],
+     "'uniqueness': bump_center"),
 ], ids=["metric-keys-and-typo", "override-typo", "other-experiments-key",
-        "speed-cap-num-starts", "speed-cap-cluster-tol"])
+        "speed-cap-num-starts", "speed-cap-cluster-tol", "bump-center"])
 def test_run_unread_key_exits_2(tmp_path, capsys, text, flags, unread):
     cfg = write(tmp_path, "unread.cfg", text)
     out = tmp_path / "unread.jsonl"
     assert main(["run", cfg, "--out", str(out)] + flags) == 2
     assert capsys.readouterr().err == f"torusgeo: error: keys not read by experiment {unread}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, flags, message", [
+    ("experiment = uniqueness\nt_values = 0.1,x\n", [], "key 't_values': not a number list"),
+    ("experiment = uniqueness\ngamma = 1\n", [], "key 'gamma': expected an integer pair"),
+    ("experiment = uniqueness\nsolver.grad_tol = tiny\n", [],
+     "key 'solver.grad_tol': not a number"),
+    ("experiment = uniqueness\n", ["--override", "foo"], "--override expects KEY=VALUE"),
+], ids=["float-list", "pair", "float", "override"])
+def test_run_malformed_value_exits_2(tmp_path, capsys, text, flags, message):
+    cfg = write(tmp_path, "bad.cfg", text)
+    out = tmp_path / "bad.jsonl"
+    assert main(["run", cfg, "--out", str(out)] + flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"torusgeo: error: {message}") and err.count("\n") == 1
     assert not out.exists()
 
 

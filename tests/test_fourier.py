@@ -135,7 +135,7 @@ def test_grid_shape_and_norms():
     assert g.shape == (16, 16, 2)
     f = Fourier2D(0.0, {(1, 0): (1.0, 0.0)})
     assert f.max_abs(64) == pytest.approx(1.0)
-    assert f.min_on_grid(64) == pytest.approx(-1.0)
+    assert f.grid_values(64).min() == pytest.approx(-1.0)
     # |grad cos(2 pi x)| peaks at 2 pi
     assert f.sup_gradient_norm(256) == pytest.approx(2 * np.pi, rel=1e-3)
 

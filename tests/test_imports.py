@@ -77,6 +77,26 @@ def test_no_unread_private_names():
     assert unread_private_names(sources) == []
 
 
+def calls_to(source: str, name: str) -> list[int]:
+    """The lines of `source` that call a function or method named `name`."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "attr", getattr(node.func, "id", None)) == name]
+
+
+def test_calls_to_detected():
+    source = "def g(m):\n    f = m.hook\n    return m.hook(1), hook(2), m.other(3)\n"
+    assert calls_to(source, "hook") == [3, 3]
+
+
+def test_no_module_calls_speed_sq_grads():
+    # speed_sq_grads is the hook perfbench/tracing.py wraps; callers read `kernel`
+    package = ROOT / "src" / "torusgeo"
+    found = [f"{path.name}:{line}" for path in sorted(package.glob("*.py"))
+             for line in calls_to(path.read_text(encoding="utf-8"), "speed_sq_grads")]
+    assert found == []
+
+
 def settable_values(source: str) -> int:
     """Defaulted parameters plus defaulted fields of `@dataclass` classes in `source`.
 
@@ -105,4 +125,4 @@ def test_settable_value_count_is_pinned():
     # adding or removing a knob changes this number in the same diff
     package = ROOT / "src" / "torusgeo"
     assert sum(settable_values(path.read_text(encoding="utf-8"))
-               for path in sorted(package.glob("*.py"))) == 33
+               for path in sorted(package.glob("*.py"))) == 28

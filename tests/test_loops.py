@@ -75,6 +75,12 @@ def test_too_few_vertices_rejected():
         DiscreteLoop(np.zeros((4, 2)), (1, 0))
 
 
+@pytest.mark.parametrize("shape", [(8,), (8, 3), (2, 8, 2)])
+def test_vertices_not_n_by_2_rejected(shape):
+    with pytest.raises(MalformedLoopError, match="shape"):
+        DiscreteLoop(np.zeros(shape), (1, 0))
+
+
 def test_nonfinite_vertices_rejected():
     v = np.zeros((8, 2))
     v[3, 1] = np.nan

@@ -114,6 +114,75 @@ def test_riemannian_positive_definiteness_enforced():
         RiemannianMetric(1.0, 2.0, 1.0)  # det = 1 - 4 < 0
 
 
+def test_fiber_hessian_makes_one_field_pass(monkeypatch):
+    from torusgeo.fourier import FieldPass
+    m = RiemannianMetric(Fourier2D(1.5, {(1, 0): (0.2, 0.0)}), Fourier2D(0.1, {(1, 1): (0.1, 0.0)}),
+                         Fourier2D(1.2, {(0, 1): (0.0, 0.15)}))
+    rng = np.random.default_rng(23)
+    x, v = rng.random((40, 2)), rng.standard_normal((40, 2))
+    calls = []
+    original = FieldPass.__call__
+
+    def counted(self, *args):
+        calls.append(self)
+        return original(self, *args)
+
+    monkeypatch.setattr(FieldPass, "__call__", counted)
+    h = fiber_hessian(m, x, v)
+    assert len(calls) == 1
+    # v^T g v has the Hessian 2 g exactly
+    g11, g12, g22 = m.g11(x), m.g12(x), m.g22(x)
+    assert np.allclose(h, 2.0 * np.stack([np.stack([g11, g12], -1), np.stack([g12, g22], -1)], -2),
+                       rtol=0.0, atol=1e-9)
+
+
+# -- certified validity -----------------------------------------------------------
+
+# each dips below zero only between the points of a 128^2 grid: sin 2 pi 64 x
+# vanishes at every x = j/128
+_WAVE = Fourier2D(0.0, {(64, 0): (0.0, 1.02)})
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda: ConformalFactor(1.0 + _WAVE), NotAConformalFactorError),  # min -0.02
+    (lambda: RiemannianMetric(1.0, _WAVE, 1.0), InvalidMetricError),  # det g reaches -0.04
+    (lambda: RandersMetric(euclidean(), (_WAVE, 0.0)), InvalidMetricError),  # |beta| 1.02
+], ids=["factor", "riemannian-det", "randers-dual-norm"])
+def test_negative_between_sample_points_rejected(build, error):
+    with pytest.raises(error, match="is not positive"):
+        build()
+
+
+def test_positive_factor_too_close_to_zero_is_uncertified():
+    # min 1e-4: the Lipschitz bound would need an n of about 44,000 to certify it
+    with pytest.raises(NotAConformalFactorError, match="uncertified"):
+        ConformalFactor(Fourier2D(1.0, {(1, 0): (0.9999, 0.0)}))
+
+
+def test_every_built_factor_and_metric_still_certified(monkeypatch):
+    # the rest of tests/ constructs its own metrics and factors as it runs
+    from torusgeo import metrics
+    from torusgeo.experiments import cs_property_metrics, height_bump, random_factor, random_metric
+    cs_property_metrics()
+    random_metrics()
+    _kernel_metrics()
+    for t in (0.01, 0.05, 0.1, 0.2, 0.5):
+        height_bump(t)
+    grids = []
+
+    def spied(series, n, _fn=metrics.on_grid):
+        grids.append(n)
+        return _fn(series, n)
+
+    monkeypatch.setattr(metrics, "on_grid", spied)
+    rng = np.random.default_rng(29)
+    for _ in range(1000):
+        random_factor(rng)
+    assert set(grids) == {16}  # each draw certified on the first grid
+    for _ in range(1000):
+        random_metric(rng)
+
+
 # -- comparison constant --------------------------------------------------------
 
 def test_comparison_constant_euclidean():
@@ -205,7 +274,7 @@ def test_unverified_factor_dipping_below_zero_still_raises():
 def test_verified_factor_evaluates_no_further_grid(monkeypatch):
     from torusgeo import fourier, metrics
     lam = ConformalFactor(Fourier2D(1.0, {(1, 1): (0.2, -0.1)}))
-    base = euclidean()  # validated on its own grid
+    base = euclidean()  # certified when built
     calls = []
     for module, name in ((fourier, "on_grid"), (fourier, "on_axes"), (metrics, "on_grid")):
         def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
@@ -239,6 +308,14 @@ def test_scaled_metric_keeps_invariants():
 
 
 # -- seminorm distance -----------------------------------------------------------
+
+def test_sample_count_and_k_max_validated():
+    with pytest.raises(InputDomainError, match="sample_count"):
+        verify_convexity(euclidean(), 0, 0)
+    f = Fourier2D(0.3, {(1, 0): (0.2, -0.1)})
+    with pytest.raises(InputDomainError, match="k_max"):
+        seminorm_distance(f, f, k_max=-1)
+
 
 def test_seminorm_identity_of_indiscernibles():
     f = Fourier2D(0.3, {(1, 0): (0.2, -0.1)})

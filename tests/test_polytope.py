@@ -13,10 +13,49 @@ from torusgeo import (
     uniqueness_fraction,
 )
 from torusgeo import polytope
-from torusgeo.errors import InputDomainError, PerturbationFailureError
+from torusgeo.errors import ExposureFailureError, InputDomainError, PerturbationFailureError
 from torusgeo.experiments import _argmin_bruteforce, random_body
 
 SQUARE = ConvexBody([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)])
+
+
+# -- input validation -------------------------------------------------------------
+
+@pytest.mark.parametrize("vertices", [[], np.zeros((0, 2)), [1.0, 2.0], np.zeros((2, 2, 2)),
+                                      [[0.0, np.nan]], [[np.inf, 0.0]]],
+                         ids=["empty", "no-rows", "vector", "3-d", "nan", "inf"])
+def test_body_rejects_bad_vertices(vertices):
+    with pytest.raises(InputDomainError, match="vertices"):
+        ConvexBody(vertices)
+
+
+@pytest.mark.parametrize("coefficients", [[[1.0, 0.0]], 1.0, [np.nan, 0.0], [0.0, -np.inf]],
+                         ids=["matrix", "scalar", "nan", "inf"])
+def test_functional_rejects_bad_coefficients(coefficients):
+    with pytest.raises(InputDomainError, match="finite vector"):
+        Functional(coefficients)
+
+
+def test_negative_argmin_tolerance_rejected():
+    with pytest.raises(InputDomainError, match="tol"):
+        argmin_set(Functional.zero(2), SQUARE, tol=-1e-12)
+
+
+def test_expose_fails_on_a_segment_longer_than_eps():
+    # every direction's argmin is the whole segment: both ends within the active-set tolerance
+    with pytest.raises(ExposureFailureError):
+        exposing_functional(ConvexBody([[0.0, 0.0], [1e-12, 0.0]]), eps=1e-13)
+
+
+@pytest.mark.parametrize("eps, delta", [(0.0, 0.1), (-1.0, 0.1), (0.1, 0.0), (0.1, -1.0)])
+def test_shrink_rejects_nonpositive_eps_or_delta(eps, delta):
+    with pytest.raises(InputDomainError, match="positive"):
+        shrink_argmin(Functional.zero(2), SQUARE, eps=eps, delta=delta)
+
+
+def test_uniqueness_fraction_rejects_zero_samples():
+    with pytest.raises(InputDomainError, match="sample_count"):
+        uniqueness_fraction(SQUARE, 0, eps=0.1)
 
 
 # -- argmin_set -----------------------------------------------------------------
