@@ -24,6 +24,7 @@ from .loops import (
     cs_gap,
     length,
     loop_measure,
+    reparametrize_batch,
     reparametrize_constant_speed,
 )
 from .solver import (

@@ -21,9 +21,13 @@ _HALVINGS = 60
 
 
 def _diameter(pts: np.ndarray) -> float:
-    """Largest pairwise distance of the rows of pts."""
+    """Largest pairwise distance of the rows of pts.
+
+    The root is taken after the max, which it commutes with (it is
+    correctly rounded and monotone), so the value is the max of the roots.
+    """
     d = pts[:, None, :] - pts[None, :, :]
-    return float(np.sqrt((d ** 2).sum(axis=-1)).max())
+    return float(np.sqrt((d ** 2).sum(axis=-1).max()))
 
 
 class ConvexBody:

@@ -27,10 +27,10 @@ from .errors import InputDomainError, MalformedLoopError, SolverFailureError
 from .loops import (
     DiscreteLoop,
     _length_action,
+    _stacked_lengths,
     edges,
-    reparametrize_constant_speed,
+    reparametrize_batch,
     require_nontrivial,
-    segment_lengths,
 )
 from .metrics import FinslerMetric, comparison_constant
 
@@ -93,7 +93,7 @@ def _evaluate(metric: FinslerMetric, x: np.ndarray, winding) -> tuple[np.ndarray
     f, gx, gv = metric.kernel(*edges(x, winding))
     # segment i depends on x_i (midpoint half, delta -1) and x_{i+1} (+1)
     grads = x.shape[1] * (0.5 * (gx + _previous(gx)) + _previous(gv) - gv)
-    return _length_action(f)[1], grads
+    return _length_action(f, x.shape[1])[1], grads
 
 
 def _previous(a: np.ndarray) -> np.ndarray:
@@ -287,14 +287,14 @@ def _descend(metric: FinslerMetric, winding: tuple[int, int], config: SolverConf
         live = live[accepted | retry]
 
     _polish(metric, winding, config, np.flatnonzero(converged), x, a, grad, symbol, histories)
+    outs = reparametrize_batch(metric, [DiscreteLoop(xi, winding) for xi in x])
+    total, a_out = _length_action(*_stacked_lengths(metric, outs))
     results = []
-    for i in range(n_starts):
-        out = reparametrize_constant_speed(metric, DiscreteLoop(x[i], winding))
-        total, a_out = _length_action(segment_lengths(metric, out))
+    for i, out in enumerate(outs):
         stop = "gradient" if converged[i] else "stall" if stalled[i] else "max_iters"
         results.append(SolveResult(loop=out, converged=bool(converged[i]),
-                                   iterations=int(iterations[i]), action=float(a_out),
-                                   length=float(total), stop=stop, action_history=histories[i]))
+                                   iterations=int(iterations[i]), action=float(a_out[i]),
+                                   length=float(total[i]), stop=stop, action_history=histories[i]))
     return results
 
 

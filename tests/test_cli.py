@@ -306,27 +306,30 @@ def test_plot_data_not_a_report_exits_2(tmp_path, capsys, line, error):
 
 def test_cs_property_evaluates_each_loop_once(monkeypatch):
     from torusgeo import experiments, metrics
-    calls, inside = [], []
-    real_reparam = experiments.reparametrize_constant_speed
+    calls, inside, batches = [], [], []
+    real_reparam = experiments.reparametrize_batch
 
-    def reparam(*args, **kwargs):
+    def reparam(metric, loops):
         inside.append(True)
+        batches.append(len(loops))
         try:
-            return real_reparam(*args, **kwargs)
+            return real_reparam(metric, loops)
         finally:
             inside.pop()
 
-    monkeypatch.setattr(experiments, "reparametrize_constant_speed", reparam)
+    monkeypatch.setattr(experiments, "reparametrize_batch", reparam)
     for cls in (metrics.RiemannianMetric, metrics.RandersMetric, metrics.ConformalMetric):
         def speed(self, x, v, _real=cls.speed):
             if not inside:
                 calls.append(1)
             return _real(self, x, v)
         monkeypatch.setattr(cls, "speed", speed)
-    records, checks = experiments.run_cs_property({"count": 3}, 0)
+    records, checks = experiments.run_cs_property({"count": 30}, 0)
     assert all(checks.values())
-    # per loop, outside the reparametrization: one evaluation of the input
-    # loop (its cs_gap), then one of the reparametrized loop (its residual)
+    # one batch per metric; per batch, outside the reparametrization: one
+    # evaluation of the stacked input loops (their cs_gap), then one of the
+    # stacked reparametrized loops (their residuals)
+    assert batches == [10, 10, 10]
     assert len(calls) == 3 * 2
 
 

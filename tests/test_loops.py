@@ -1,4 +1,6 @@
 """Discrete loops: winding, length, action, the speed-variance gap, measures."""
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +15,7 @@ from torusgeo import (
     euclidean,
     length,
     loop_measure,
+    reparametrize_batch,
     reparametrize_constant_speed,
 )
 from torusgeo.errors import (
@@ -21,7 +24,15 @@ from torusgeo.errors import (
     SpeedCapError,
     TrivialClassError,
 )
-from torusgeo.loops import _point_on_polygon, edges, require_nontrivial, segment_lengths
+from torusgeo.loops import (
+    _length_action,
+    _point_on_polygon,
+    _row_sums,
+    _stacked_lengths,
+    edges,
+    require_nontrivial,
+    segment_lengths,
+)
 
 
 def two_speed_loop():
@@ -266,29 +277,100 @@ def test_reparametrize_equalizes_speeds():
     assert ell.std() / ell.mean() <= 1e-3
 
 
-@pytest.mark.parametrize("seed, index", [(905, 556), (907, 661), (929, 199), (0, 1318),
-                                         (0, 6086), (707, 641), (934, 893), (957, 563),
-                                         (967, 159), (502, 499)])
+# the cs-property loops (seed, index) whose pass from phase 0 stalls
+STALLS = [(905, 556), (907, 661), (929, 199), (0, 1318), (0, 6086), (707, 641), (934, 893),
+          (957, 563), (967, 159), (502, 499)]
+
+
+@functools.cache
+def cs_metrics() -> tuple:
+    from torusgeo.experiments import cs_property_metrics
+    return tuple(cs_property_metrics())
+
+
+def cs_loop(seed: int, index: int):
+    """Loop `index` of the cs-property experiment at `seed`, and the index of the metric it takes."""
+    from torusgeo.experiments import random_loop
+    rng = np.random.default_rng(seed)
+    for _ in range(index + 1):
+        loop = random_loop(rng)
+    return loop, index % len(cs_metrics())
+
+
+def rng13_loops() -> list:
+    """Eight loops, some of which need Newton steps under each cs-property metric."""
+    from torusgeo.experiments import random_loop
+    rng = np.random.default_rng(13)
+    return [random_loop(rng) for _ in range(8)]
+
+
+@pytest.mark.parametrize("seed, index", STALLS)
 def test_reparametrize_restarts_past_a_stall(seed, index):
     # the pass from phase 0 stalls at a relative gap of 1.2e-4 to 4.0e-3 on
     # these cs-property loops; a restart at a shifted phase reaches the
     # tolerance. Loop 499 of seed 502 stalls at 7.1e-4 from all four quarter
     # phases and needs an eighth phase
-    from torusgeo.experiments import cs_property_metrics, random_loop
-    rng = np.random.default_rng(seed)
-    for _ in range(index + 1):
-        loop = random_loop(rng)
-    metrics = cs_property_metrics()
-    metric = metrics[index % len(metrics)]
+    loop, k = cs_loop(seed, index)
+    metric = cs_metrics()[k]
     out = reparametrize_constant_speed(metric, loop)
     assert cs_gap(metric, out) <= 1e-6 * action(metric, out)
 
 
+_ALONE = {}
+
+
+def reparametrized_alone(k: int, loop) -> bytes:
+    """The vertex bytes of loop reparametrized alone under metric k, computed once per session."""
+    key = (k, loop.vertices.tobytes(), loop.winding)
+    if key not in _ALONE:
+        _ALONE[key] = reparametrize_constant_speed(cs_metrics()[k], loop).vertices.tobytes()
+    return _ALONE[key]
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.randoms(use_true_random=False))
+@settings(max_examples=5, deadline=None)
+def test_reparametrize_batch_matches_each_loop_alone(seed, order):
+    # mixed N (8..48, and past 128, where numpy's pairwise sum splits) and
+    # mixed windings, with the stall loops, among them one that needs the
+    # eighth phases, and loops that take Newton steps
+    from torusgeo.experiments import random_loop
+    rng = np.random.default_rng(seed)
+    drawn = [random_loop(rng) for _ in range(10)] + [random_loop(rng, 120, 160)]
+    stalls = [cs_loop(*case) for case in STALLS]
+    for k, metric in enumerate(cs_metrics()):
+        loops = [loop for loop, j in stalls if j == k] + rng13_loops() + drawn
+        alone = [reparametrized_alone(k, loop) for loop in loops]
+        for batch in (loops, order.sample(loops, len(loops))):
+            outs = reparametrize_batch(metric, batch)
+            assert [out.vertices.tobytes() for out in outs] == [alone[loops.index(loop)]
+                                                                 for loop in batch]
+            assert [out.winding for out in outs] == [loop.winding for loop in batch]
+
+
+def test_row_sums_are_numpy_sums_of_each_row():
+    # numpy's pairwise sum, per padded row, for every N from 8 past 128
+    rng = np.random.default_rng(21)
+    n = np.arange(8, 300)
+    ell = rng.random((len(n), n[-1])) * rng.choice([1e-3, 1.0, 1e3], (len(n), n[-1]))
+    ell[np.arange(n[-1]) >= n[:, None]] = 0.0
+    for a in (ell, ell ** 2):
+        got = _row_sums(a, n)
+        assert [v.tobytes() for v in got] == [a[i, :k].sum().tobytes() for i, k in enumerate(n)]
+
+
+def test_cs_gap_is_the_stacked_gap():
+    # cs_gap and the stacked lengths of cs-property agree bit for bit: both
+    # square the length correctly rounded
+    from torusgeo.experiments import random_loop
+    rng = np.random.default_rng(22)
+    loops = [random_loop(rng) for _ in range(300)]
+    for metric in cs_metrics():
+        total, a = _length_action(*_stacked_lengths(metric, loops))
+        assert [cs_gap(metric, loop) for loop in loops] == (a - total ** 2).tolist()
+
+
 def test_reparametrize_builds_only_the_returned_loop(monkeypatch):
-    from torusgeo.experiments import cs_property_metrics, random_loop
-    rng = np.random.default_rng(13)  # some of these loops need Newton steps
-    loops = [random_loop(rng) for _ in range(8)]
-    metrics = cs_property_metrics()
+    loops = rng13_loops()
     built = []
     real_init = DiscreteLoop.__init__
 
@@ -297,42 +379,42 @@ def test_reparametrize_builds_only_the_returned_loop(monkeypatch):
         real_init(self, *args, **kwargs)
 
     monkeypatch.setattr(DiscreteLoop, "__init__", counted_init)
-    for loop in loops:
-        for metric in metrics:
-            before = len(built)
-            out = reparametrize_constant_speed(metric, loop)
-            assert len(built) == before + 1
-            assert out.winding == loop.winding
+    for metric in cs_metrics():
+        before = len(built)
+        outs = reparametrize_batch(metric, loops)
+        assert len(built) == before + len(loops)
+        assert [out.winding for out in outs] == [loop.winding for loop in loops]
 
 
 def test_reparametrize_first_speed_call_is_the_input_loop(monkeypatch):
-    # the phase-0 trial samples the input vertices exactly: it is the input's
-    # own evaluation, which the length checks read, not a second one
+    # the phase-0 trials sample the input vertices exactly: the first call is
+    # the stacked inputs' own evaluation, which the length checks read, and no
+    # later call evaluates an input again
     from torusgeo import metrics
-    from torusgeo.experiments import cs_property_metrics, random_loop
-    rng = np.random.default_rng(13)
     calls = []
     for cls in (metrics.RiemannianMetric, metrics.RandersMetric, metrics.ConformalMetric):
         def speed(self, x, v, _real=cls.speed):
             calls.append((np.array(x), np.array(v)))
             return _real(self, x, v)
         monkeypatch.setattr(cls, "speed", speed)
-    for metric in cs_property_metrics():
-        loop = random_loop(rng)
+    loops = rng13_loops()
+    inputs = [edges(loop.vertices, loop.winding) for loop in loops]
+    for metric in cs_metrics():
         calls.clear()
-        reparametrize_constant_speed(metric, loop)
-        mids, deltas = edges(loop.vertices, loop.winding)
-        assert np.array_equal(calls[0][0], mids) and np.array_equal(calls[0][1], deltas)
-        assert not any(np.array_equal(v, deltas) for _, v in calls[1:])
+        reparametrize_batch(metric, loops)
+        x, v = calls[0]
+        assert np.array_equal(x, np.concatenate([mids for mids, _ in inputs]))
+        assert np.array_equal(v, np.concatenate([deltas for _, deltas in inputs]))
+        for _, v in calls[1:]:
+            later = {row.tobytes() for row in v}
+            for _, deltas in inputs:
+                assert not all(row.tobytes() in later for row in deltas)
 
 
 def test_reparametrize_survives_a_singular_newton_system(monkeypatch):
     # a failed Newton solve ends the pass; the restarts and the best-gap pick
     # still return a loop on the input chain, no worse than the input
-    from torusgeo.experiments import cs_property_metrics, random_loop
-    rng = np.random.default_rng(13)  # the loops of test_reparametrize_builds_only_the_returned_loop
-    loops = [random_loop(rng) for _ in range(8)]
-    metrics = cs_property_metrics()
+    loops = rng13_loops()
     solves = []
 
     def singular(a, b):
@@ -340,13 +422,52 @@ def test_reparametrize_survives_a_singular_newton_system(monkeypatch):
         raise np.linalg.LinAlgError("Singular matrix")
 
     monkeypatch.setattr(np.linalg, "solve", singular)
-    for loop in loops:
-        for metric in metrics:
-            out = reparametrize_constant_speed(metric, loop)
+    for metric in cs_metrics():
+        for loop, out in zip(loops, reparametrize_batch(metric, loops)):
             assert out.winding == loop.winding
             assert_on_chain(out, loop)
             assert cs_gap(metric, out) <= cs_gap(metric, loop) + 1e-12 * action(metric, loop)
     assert solves  # some pass reached a Newton step
+
+
+def test_singular_newton_system_ends_only_its_own_pass(monkeypatch):
+    # rng-13 loop 6 and a copy moved by 1e-12 take their Newton steps in the
+    # same rounds, as stacks of two systems; the first system met in a stack
+    # is made singular. That pass ends, and each loop still gets the bits it
+    # gets alone under the same solver
+    real_solve = np.linalg.solve
+    poison = []
+
+    def solve(a, b):
+        if len(a) > 1 and not poison:
+            poison.append(a[0].copy())
+        if any(np.array_equal(m, poison[0]) for m in a):
+            raise np.linalg.LinAlgError("Singular matrix")
+        return real_solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    loop = rng13_loops()[6]
+    twin = DiscreteLoop(loop.vertices + 1e-12, loop.winding)
+    for metric in cs_metrics():
+        poison.clear()
+        outs = reparametrize_batch(metric, [loop, twin])
+        assert poison
+        alone = [reparametrize_constant_speed(metric, x) for x in (loop, twin)]
+        assert [out.vertices.tobytes() for out in outs] == [out.vertices.tobytes() for out in alone]
+
+
+def test_reparametrize_batch_of_none_is_empty():
+    assert reparametrize_batch(euclidean(), []) == []
+
+
+def test_reparametrize_pads_without_floating_point_errors():
+    # padded segments have zero chords; no metric may overflow, divide by zero
+    # or make a nan on them
+    loops = rng13_loops()
+    assert len({loop.n_vertices for loop in loops}) > 1
+    for metric in cs_metrics():
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            reparametrize_batch(metric, loops)
 
 
 @pytest.mark.parametrize("xs, expected", [
@@ -361,6 +482,28 @@ def test_reparametrize_infinite_length_raises(xs, expected):
         assert repr(length(euclidean(), loop)) == expected
         with pytest.raises(MalformedLoopError, match="length is not finite"):
             reparametrize_constant_speed(euclidean(), loop)
+
+
+@pytest.mark.parametrize("bad, error, message", [
+    (DiscreteLoop(np.full((12, 2), 0.3), (0, 0)), DegenerateLoopError,
+     "loop 2: cannot reparametrize a zero-length loop"),
+    (DiscreteLoop(np.stack([np.arange(8) * 1e307, np.zeros(8)], axis=-1), (1, 0)),
+     MalformedLoopError, "loop 2: length is not finite"),
+], ids=["zero-length", "not-finite"])
+def test_reparametrize_batch_names_the_bad_loop_before_any_step(monkeypatch, bad, error, message):
+    from torusgeo import metrics
+    calls = []
+
+    def speed(self, x, v, _real=metrics.RiemannianMetric.speed):
+        calls.append(1)
+        return _real(self, x, v)
+
+    monkeypatch.setattr(metrics.RiemannianMetric, "speed", speed)
+    loops = rng13_loops()
+    with np.errstate(over="ignore"):
+        with pytest.raises(error, match=message):
+            reparametrize_batch(euclidean(), loops[:2] + [bad] + loops[2:])
+    assert len(calls) == 1  # the inputs' evaluation, and no step
 
 
 # -- loop measures ------------------------------------------------------------

@@ -166,17 +166,17 @@ def test_final_reparametrization_is_needed(monkeypatch):
     from torusgeo import solver
     calls = []
 
-    def spy(metric, loop, _real=solver.reparametrize_constant_speed):
-        out = _real(metric, loop)
-        calls.append((loop, out))
-        return out
+    def spy(metric, loops, _real=solver.reparametrize_batch):
+        outs = _real(metric, loops)
+        calls.append((loops, outs))
+        return outs
 
-    monkeypatch.setattr(solver, "reparametrize_constant_speed", spy)
+    monkeypatch.setattr(solver, "reparametrize_batch", spy)
     m = ConformalMetric(euclidean(), ConformalFactor(Fourier2D(1.0, {(2, 1): (0.2, 0.35)})))
     res = shortest_loop(m, (1, 1), SolverConfig(n_vertices=64, max_iters=3000, grad_tol=1e-7,
                                                 seed=0))
     assert res.converged and res.iterations == 21 and res.stop == "gradient"
-    [(iterate, out)] = calls
+    [([iterate], [out])] = calls
     assert out is res.loop
     assert cs_gap(m, iterate) > 1e-6 * action(m, iterate)
     assert cs_gap(m, res.loop) <= 1e-6 * res.action
@@ -512,20 +512,22 @@ def test_perturbed_metric_collapses_to_one_cluster():
 
 
 def test_minimizer_set_evaluates_each_start_once(monkeypatch):
-    # outside the reparametrization, a start's reported length and action come
-    # from one evaluation of its segment lengths; the descent uses the kernel
+    # outside the reparametrization, the starts' reported lengths and actions
+    # come from one evaluation of their segment lengths, all starts stacked;
+    # the descent uses the kernel, and reparametrizes the starts as one batch
     from torusgeo import metrics, solver
     from torusgeo.experiments import height_bump
-    calls, inside = [], []
+    calls, inside, batches = [], [], []
 
-    def reparam(*args, _real=solver.reparametrize_constant_speed):
+    def reparam(metric, loops, _real=solver.reparametrize_batch):
         inside.append(True)
+        batches.append(len(loops))
         try:
-            return _real(*args)
+            return _real(metric, loops)
         finally:
             inside.pop()
 
-    monkeypatch.setattr(solver, "reparametrize_constant_speed", reparam)
+    monkeypatch.setattr(solver, "reparametrize_batch", reparam)
     for cls in (metrics.RiemannianMetric, metrics.ConformalMetric):
         def speed(self, x, v, _real=cls.speed):
             if not inside:
@@ -535,7 +537,8 @@ def test_minimizer_set_evaluates_each_start_once(monkeypatch):
     m = ConformalMetric(euclidean(), height_bump(0.2))
     rep = minimizer_set(m, (1, 0), SolverConfig(n_vertices=32, num_starts=5, seed=1))
     assert rep.n_converged + rep.n_failed == 5
-    assert len(calls) == 1 + 5  # the preconditioner's comparison constant, then each start
+    assert batches == [5]
+    assert len(calls) == 1 + 1  # the preconditioner's comparison constant, then the starts
 
 
 def test_single_start_spread_zero():
