@@ -32,6 +32,7 @@ from .polytope import (
     DEFAULT_TOL,
     ConvexBody,
     Functional,
+    _norm,
     semicontinuity_probe,
     shrink_argmin,
 )
@@ -292,7 +293,7 @@ def run_mane_polytope(cfg: dict, seed: int):
         m_brute, active_brute = _argmin_bruteforce(res.functional, body)
         if res.after.active_indices != active_brute or abs(res.after.value - m_brute) > 1e-12 * (1 + abs(m_brute)):
             oracle_ok = False
-        shift = float(np.linalg.norm(res.functional.coefficients - f.coefficients))
+        shift = _norm(res.functional.coefficients - f.coefficients)
         success = res.after.diameter <= eps and shift <= delta
         successes += success
         records.append({"kind": "mane-polytope", "trial": trial, "success": bool(success),
@@ -317,19 +318,18 @@ def run_consistency(cfg: dict, seed: int):
         factor = random_factor(rng)
         loop = random_loop(rng, n_min=16, n_max=64, jitter=0.15)
         a = action(metric, loop)
-        lip = factor.sup_gradient_norm(512)  # first: its 512^2 grids and a pushforward never coexist
         # the gap subtracts two sums of size up to sup|lambda| * a, so it carries
-        # rounding even when lip = 0 (a constant factor); sup|lambda| is
-        # certified from the coefficients
+        # rounding even when Lip = 0 (a constant factor); Lip and sup|lambda|
+        # are both certified from the coefficients
         lam_sup = abs(factor.const) + sum(math.hypot(c, s) for c, s in factor.modes.values())
-        bound = lip * (np.sqrt(2.0) / resolution) * a + 1e-12 * (1.0 + lam_sup * a)
+        bound = (factor.lipschitz_bound() * (np.sqrt(2.0) / resolution) * a
+                 + 1e-12 * (1.0 + lam_sup * a))
         cap = float(np.linalg.norm(loop.velocities, axis=1).max()) * (1 + 1e-12)
         grid = pushforward(metric, loop_measure(metric, loop, cap), resolution)
         gap = action_consistency(metric, factor, loop, grid)
         mass = grid.total_mass
         kappa = float(rng.uniform(0.5, 2.0))
         cgap = action_consistency(metric, ConformalFactor.constant(kappa), loop, grid)
-        del grid  # nor with the next trial's bound
         if gap > bound:
             gap_ok = False
         if abs(mass - a) > 1e-12 * (1.0 + a):
@@ -366,7 +366,7 @@ def run_semicontinuity(cfg: dict, seed: int):
         p_vals = p(body.vertices)
         # m(f + s p) is concave and piecewise linear in s: its error need not
         # shrink past a breakpoint, but below s* it is linear on f's argmin face
-        s_star = _certified_scale(f(body.vertices), p_vals, rep.base_value)
+        s_star = _certified_scale(rep.base.values, p_vals, rep.base_value)
         tail = [e for e, s in zip(errs[tail_k - k_lo:], scales[tail_k - k_lo:]) if s < s_star]
         if any(e2 > e1 + 1e-12 * scale for e1, e2 in zip(tail, tail[1:])):
             monotone_ok = False

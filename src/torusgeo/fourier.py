@@ -132,10 +132,16 @@ class Fourier2D:
     def max_abs(self, n: int = 64) -> float:
         return float(np.abs(self.grid_values(n)).max())
 
-    def sup_gradient_norm(self, n: int) -> float:
-        """Max Euclidean norm of the gradient on an n x n grid (Lipschitz estimate)."""
-        dx, dy = on_grid((self.derivative(1, 0), self.derivative(0, 1)), n)
-        return float(np.hypot(dx, dy).max())
+    def lipschitz_bound(self) -> float:
+        """Certified sup |grad f| over the torus: 2 pi sum_k |k| sqrt(a^2 + b^2).
+
+        Mode k contributes a gradient of norm 2 pi |k| |b cos - a sin|, at most
+        2 pi |k| sqrt(a^2 + b^2), so the sum bounds |grad f| everywhere; for a
+        single mode it is the sup itself. Positivity certificates and the
+        consistency bound both read this one constant.
+        """
+        return float(TWO_PI * sum(np.hypot(*k) * np.hypot(a, b)
+                                  for k, (a, b) in self.modes.items()))
 
     def coefficients_equal(self, other: "Fourier2D", tol: float = 0.0) -> bool:
         keys = set(self.modes) | set(other.modes)

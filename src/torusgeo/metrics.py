@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputDomainError, InvalidMetricError, NotAConformalFactorError
-from .fourier import TWO_PI, FieldPass, Fourier2D, on_grid
+from .fourier import FieldPass, Fourier2D, on_grid
 
 _CERTIFY_GRIDS = tuple(16 * 2 ** i for i in range(7))  # n = 16, 32, ..., 1024
 _SEMINORM_GRID = 64
@@ -38,10 +38,10 @@ def _certify_positive(series: Fourier2D, error: type, what: str) -> None:
     """Raise `error` unless `series` is certified positive on the whole torus.
 
     Every point of T^2 lies within h/sqrt(2) of the n x n grid (h = 1/n), and
-    |grad f| <= Lip = 2 pi sum_k |k| sqrt(a^2 + b^2), so a grid minimum above
+    |grad f| <= Lip = `Fourier2D.lipschitz_bound()`, so a grid minimum above
     Lip h/sqrt(2) certifies f > 0. The grids of `_CERTIFY_GRIDS` are tried in turn.
     """
-    lip = TWO_PI * sum(np.hypot(*k) * np.hypot(a, b) for k, (a, b) in series.modes.items())
+    lip = series.lipschitz_bound()
     for n in _CERTIFY_GRIDS:
         m = float(on_grid((series,), n)[0].min())
         if m <= 0.0:

@@ -9,6 +9,7 @@ staying inside any prescribed neighborhood of f.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,6 +19,11 @@ from .errors import ExposureFailureError, InputDomainError, PerturbationFailureE
 DEFAULT_TOL = 1e-9
 _EXPOSING_DRAWS = 64
 _HALVINGS = 60
+
+
+def _norm(c: np.ndarray) -> float:
+    """Euclidean norm of a vector, sqrt(c . c): the bits of `np.linalg.norm` without its overhead."""
+    return math.sqrt(float(c @ c))
 
 
 def _diameter(pts: np.ndarray) -> float:
@@ -37,7 +43,7 @@ class ConvexBody:
         v = np.array(vertices, dtype=float)
         if v.ndim != 2 or len(v) < 1:
             raise InputDomainError("vertices must be a non-empty (k, n) array")
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise InputDomainError("vertices must be finite")
         v.setflags(write=False)
         self.vertices = v
@@ -60,7 +66,7 @@ class Functional:
 
     def __init__(self, coefficients):
         c = np.array(coefficients, dtype=float)
-        if c.ndim != 1 or not np.all(np.isfinite(c)):
+        if c.ndim != 1 or not np.isfinite(c).all():
             raise InputDomainError("coefficients must be a finite vector")
         c.setflags(write=False)
         self.coefficients = c
@@ -70,7 +76,7 @@ class Functional:
 
     @property
     def norm(self) -> float:
-        return float(np.linalg.norm(self.coefficients))
+        return _norm(self.coefficients)
 
     def __add__(self, other):
         if isinstance(other, Functional):
@@ -95,6 +101,7 @@ class ArgminSet:
     value: float
     active_indices: tuple[int, ...]
     diameter: float
+    values: np.ndarray = field(repr=False, compare=False)  # f on the vertices, read-only
 
 
 def argmin_set(f: Functional, body: ConvexBody, tol: float = DEFAULT_TOL) -> ArgminSet:
@@ -102,7 +109,9 @@ def argmin_set(f: Functional, body: ConvexBody, tol: float = DEFAULT_TOL) -> Arg
 
     The active set uses the relative tolerance tol * (1 + |m|), so it is
     invariant under positive scaling of f together with its minimum. When
-    every vertex is active, the diameter is the body's cached one.
+    every vertex is active, the diameter is the body's cached one. The set
+    keeps f's values on the vertices, so a caller reads them instead of
+    evaluating f again.
     """
     if tol < 0:
         raise InputDomainError("tol must be >= 0")
@@ -115,18 +124,26 @@ def argmin_set(f: Functional, body: ConvexBody, tol: float = DEFAULT_TOL) -> Arg
         diam = body.diameter
     else:
         diam = _diameter(body.vertices[active])
-    return ArgminSet(value=m, active_indices=tuple(int(i) for i in active), diameter=diam)
+    vals.setflags(write=False)
+    return ArgminSet(value=m, active_indices=tuple(active.tolist()), diameter=diam, values=vals)
 
 
 @dataclass(frozen=True)
 class ProbeReport:
-    base_value: float
-    base_diameter: float
+    base: ArgminSet  # of f
     scales: tuple[float, ...]
     value_errors: tuple[float, ...]
     diameters: tuple[float, ...]
     tail_max_error: float
     diameter_violations: int
+
+    @property
+    def base_value(self) -> float:
+        return self.base.value
+
+    @property
+    def base_diameter(self) -> float:
+        return self.base.diameter
 
     @property
     def passed(self) -> bool:
@@ -158,8 +175,7 @@ def semicontinuity_probe(f: Functional, body: ConvexBody, perturbation: Function
         diams.append(a.diameter)
     tail_max = max(errors[tail_start:])
     violations = sum(1 for d in diams[tail_start:] if d > base.diameter + DEFAULT_TOL)
-    return ProbeReport(base_value=base.value, base_diameter=base.diameter,
-                       scales=tuple(scales), value_errors=tuple(errors),
+    return ProbeReport(base=base, scales=tuple(scales), value_errors=tuple(errors),
                        diameters=tuple(diams), tail_max_error=tail_max,
                        diameter_violations=violations)
 
@@ -178,7 +194,7 @@ def exposing_functional(body: ConvexBody, eps: float,
     rng = np.random.default_rng(seed)
     for _ in range(_EXPOSING_DRAWS):
         v = rng.standard_normal(body.dimension)
-        nv = np.linalg.norm(v)
+        nv = _norm(v)
         if nv == 0.0:
             continue
         g = Functional(v / nv)
@@ -223,24 +239,28 @@ def shrink_argmin(f: Functional, body: ConvexBody, eps: float, delta: float,
     face = body if whole else ConvexBody(body.vertices[list(base.active_indices)])
     g, exposed = exposing_functional(face, eps / 2.0, seed=seed)
     m0 = exposed.value
+    # g on every vertex, for the face test of each active set below
+    g_vals = exposed.values if whole else g(body.vertices)
+    cf, cg, g_norm = f.coefficients, g.coefficients, g.norm
     tested = []
     scale = 1.0 + abs(base.value)
     for k in range(_HALVINGS):
-        t = delta / (g.norm * 2.0 ** k)
+        t = delta / (g_norm * 2.0 ** k)
         while True:
-            fs = f + t * g
-            shift = float(np.linalg.norm(fs.coefficients - f.coefficients))
+            cs = cf + t * cg  # the coefficients of f + t*g
+            shift = _norm(cs - cf)
             if shift <= delta:
                 break
             # rescale to the realized shift, stepping at least one ulp down so t strictly decreases
             t = min(t * (delta / shift), float(np.nextafter(t, 0.0)))
         tested.append(t)
+        fs = Functional(cs)
         a = argmin_set(fs, body)
         if a.value > base.value + t * m0 + DEFAULT_TOL * scale:
             raise PerturbationFailureError(
                 f"minimum-value bound violated at t = {t:g}: "
                 f"{a.value:g} > {base.value + t * m0:g}")
-        gvals = g(body.vertices[list(a.active_indices)])
+        gvals = g_vals[list(a.active_indices)]
         if gvals.max() > m0 + DEFAULT_TOL * (1.0 + abs(m0)):
             # a vertex of f's argmin face stays active under f + t*g when the
             # tolerances of both active sets cover its separation t*(g(x) - m0)

@@ -3,8 +3,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from torusgeo.errors import InputDomainError
-from torusgeo.fourier import FieldPass, Fourier2D, on_axes, on_grid
+from torusgeo.errors import InputDomainError, NotAConformalFactorError
+from torusgeo.fourier import TWO_PI, FieldPass, Fourier2D, on_axes, on_grid
 from torusgeo.metrics import ConformalFactor
 
 
@@ -137,7 +137,8 @@ def test_grid_shape_and_norms():
     assert f.max_abs(64) == pytest.approx(1.0)
     assert f.grid_values(64).min() == pytest.approx(-1.0)
     # |grad cos(2 pi x)| peaks at 2 pi
-    assert f.sup_gradient_norm(256) == pytest.approx(2 * np.pi, rel=1e-3)
+    assert f.lipschitz_bound() == 2 * np.pi
+    assert Fourier2D(-3.0).lipschitz_bound() == 0.0
 
 
 @given(st.integers(0, 2 ** 32 - 1))
@@ -219,11 +220,61 @@ def test_shared_pass_one_cos_sin_per_mode(seed, monkeypatch):
     assert calls == {"cos": len(modes), "sin": len(modes)}
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_sup_gradient_norm_equals_separate_grids(seed):
-    for f in _shared_series(seed)[:5]:
-        ref = np.hypot(f.derivative(1, 0).grid_values(64), f.derivative(0, 1).grid_values(64))
-        assert f.sup_gradient_norm(64) == float(ref.max())
+# -- the certified Lipschitz constant ---------------------------------------------------
+
+def _sampled_gradient_sup(f, n):
+    """Max of |grad f| on the n x n grid: a lower estimate of the sup, not a bound."""
+    dx, dy = on_grid((f.derivative(1, 0), f.derivative(0, 1)), n)
+    return float(np.hypot(dx, dy).max())
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6), st.integers(1, 4),
+       st.floats(1e-3, 1e3))
+@settings(max_examples=40, deadline=None)
+def test_lipschitz_bound_dominates_sampled_gradient(seed, n_modes, kmax, amp):
+    f = rand_series(np.random.default_rng(seed), n_modes=n_modes, kmax=kmax, amp=amp)
+    bound = f.lipschitz_bound()
+    # a single mode peaking on the grid samples its sup up to rounding
+    assert _sampled_gradient_sup(f, 256) <= bound * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("k, ab", [((1, 0), (1.0, 0.0)), ((0, 3), (0.0, -2.5)),
+                                   ((2, -1), (0.3, 0.4)), ((4, 4), (-1e-3, 7.0))])
+def test_lipschitz_bound_single_mode_exact(k, ab):
+    f = Fourier2D(1.5, {k: ab})
+    assert f.lipschitz_bound() == TWO_PI * (np.hypot(*k) * np.hypot(*ab))
+
+
+def test_sampled_gradient_misses_the_peak_of_a_single_mode():
+    # cos(2 pi x - phi) with phi half a cell of the 512^2 grid: |grad| = 2 pi |sin(2 pi x - phi)|
+    # peaks at x* = 1/4 + 1/1024, midway between grid points
+    phi = np.pi / 512
+    factor = ConformalFactor(Fourier2D(1.0, {(1, 0): (0.5 * np.cos(phi), 0.5 * np.sin(phi))}))
+    lip = factor.lipschitz_bound()
+    assert lip == pytest.approx(np.pi, rel=1e-15)
+    peak = np.array([0.25 + 1.0 / 1024, 0.3])
+    grad = np.hypot(factor.derivative(1, 0)(peak), factor.derivative(0, 1)(peak))
+    assert float(grad) == pytest.approx(lip, rel=1e-12)
+    # the grid estimate is cos(pi / 512) times the sup: it was never a bound
+    sampled = _sampled_gradient_sup(factor, 512)
+    assert sampled == pytest.approx(lip * np.cos(phi), rel=1e-12)
+    assert sampled < lip * (1.0 - 1e-5)
+
+
+def test_certificate_reads_the_lipschitz_bound(monkeypatch):
+    read = []
+
+    def spy(self, _real=Fourier2D.lipschitz_bound):
+        read.append(self)
+        return _real(self)
+
+    monkeypatch.setattr(Fourier2D, "lipschitz_bound", spy)
+    factor = ConformalFactor(Fourier2D(2.0, {(1, 0): (0.1, 0.0)}))
+    assert read == [factor]
+    # the certificate has no copy of its own: an infinite constant certifies nothing
+    monkeypatch.setattr(Fourier2D, "lipschitz_bound", lambda self: np.inf)
+    with pytest.raises(NotAConformalFactorError, match="uncertified"):
+        ConformalFactor(Fourier2D(2.0, {(1, 0): (0.1, 0.0)}))
 
 
 # -- separable grids ------------------------------------------------------------------

@@ -169,9 +169,21 @@ def test_consistency_within_lipschitz_bound():
         loop = DiscreteLoop(base.vertices + 0.02 * rng.standard_normal((32, 2)), (1, 0))
         gap = action_consistency(euclidean(), factor, loop,
                                  pushforward(euclidean(), measure_of(loop), 256))
-        lip = factor.sup_gradient_norm(512)
+        lip = factor.lipschitz_bound()
         bound = lip * (np.sqrt(2.0) / 256) * action(euclidean(), loop)
         assert gap <= bound
+
+
+def test_consistency_experiment_bound_reads_the_certified_constant(monkeypatch):
+    from torusgeo import experiments
+    records, checks = experiments.run_consistency({"trials": "6"}, 2)
+    assert all(checks.values())
+    # with the constant zeroed, the bound keeps only its rounding term, which
+    # the gap of a nonconstant factor exceeds: the bound has no other Lipschitz source
+    monkeypatch.setattr(Fourier2D, "lipschitz_bound", lambda self: 0.0)
+    zeroed, checks = experiments.run_consistency({"trials": "6"}, 2)
+    assert not checks["gap_within_bound"]
+    assert [r["gap"] for r in zeroed] == [r["gap"] for r in records]
 
 
 # -- separation test ---------------------------------------------------------------------

@@ -81,6 +81,22 @@ def test_edge_aligned_functional():
     assert a.diameter == pytest.approx(1.0)
 
 
+def test_argmin_set_keeps_the_vertex_values():
+    rng = np.random.default_rng(6)
+    for _ in range(10):
+        body = random_body(rng)
+        f = Functional(rng.standard_normal(body.dimension))
+        a = argmin_set(f, body)
+        assert np.array_equal(a.values, f(body.vertices))
+        assert not a.values.flags.writeable
+        assert all(type(i) is int for i in a.active_indices)
+        # the values are no part of the set's identity
+        assert a == polytope.ArgminSet(a.value, a.active_indices, a.diameter, a.values + 1.0)
+        rep = semicontinuity_probe(f, body, Functional(np.ones(body.dimension)), [0.5, 0.25])
+        assert rep.base == a and np.array_equal(rep.base.values, a.values)
+        assert (rep.base_value, rep.base_diameter) == (a.value, a.diameter)
+
+
 def test_positive_scaling_invariance():
     rng = np.random.default_rng(0)
     for _ in range(20):
@@ -300,6 +316,23 @@ def test_shrink_stays_in_neighborhood():
             shift = float(np.linalg.norm(res.functional.coefficients - f.coefficients))
             assert shift <= delta
             assert res.after.diameter <= 1e-3 * body.diameter
+
+
+def test_shrink_functional_has_the_bits_of_f_plus_t_g():
+    # f* is built from arrays, not from Functional arithmetic: the same coefficients, bit for bit
+    rng = np.random.default_rng(9)
+    for trial in range(20):
+        body = random_body(rng)
+        for size in (0.0, 1.0, 1e3):
+            f = Functional(size * rng.standard_normal(body.dimension))
+            eps = 1e-3 * body.diameter
+            res = shrink_argmin(f, body, eps, delta=0.1, seed=trial)
+            active = list(res.before.active_indices)
+            face = body if len(active) == len(body.vertices) else ConvexBody(body.vertices[active])
+            g, _ = exposing_functional(face, eps / 2.0, seed=trial)
+            assert np.array_equal(res.functional.coefficients, (f + res.t * g).coefficients)
+            assert np.linalg.norm(res.functional.coefficients - f.coefficients) \
+                == polytope._norm(res.functional.coefficients - f.coefficients)
 
 
 def test_shrink_returns_its_argmin_sets():
