@@ -15,10 +15,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ExposureFailureError, InputDomainError, PerturbationFailureError
+from .loops import _pairwise_sum
 
 DEFAULT_TOL = 1e-9
 _EXPOSING_DRAWS = 64
 _HALVINGS = 60
+_DIAMETER_CHUNK = 2 ** 16  # squared coordinate differences stacked at once by `_diameters`
 
 
 def _norm(c: np.ndarray) -> float:
@@ -26,14 +28,45 @@ def _norm(c: np.ndarray) -> float:
     return math.sqrt(float(c @ c))
 
 
-def _diameter(pts: np.ndarray) -> float:
-    """Largest pairwise distance of the rows of pts.
+def _diameters(point_sets) -> list[float]:
+    """Largest pairwise distance of the rows of each (k, n) point set.
 
-    The root is taken after the max, which it commutes with (it is
-    correctly rounded and monotone), so the value is the max of the roots.
+    Each is bitwise np.sqrt(((p[:, None] - p[None]) ** 2).sum(-1).max()).
+    Point sets of one exact shape are stacked, and the n squared coordinate
+    differences of each pair are summed column by column in numpy's pairwise
+    order (`loops._pairwise_sum`). The root is taken after the max, which it
+    commutes with (it is correctly rounded and monotone).
     """
-    d = pts[:, None, :] - pts[None, :, :]
-    return float(np.sqrt((d ** 2).sum(axis=-1).max()))
+    out = [0.0] * len(point_sets)
+    groups = {}
+    for i, pts in enumerate(point_sets):
+        groups.setdefault(pts.shape, []).append(i)
+    # stacks of at most `_DIAMETER_CHUNK` squared differences (a larger set alone)
+    steps = {(k, n): max(1, _DIAMETER_CHUNK // max(1, n * k * k)) for k, n in groups}
+    # one buffer for the squared differences of every stack
+    buf = np.empty(max([0] + [n * k * k * min(len(rows), steps[k, n])
+                              for (k, n), rows in groups.items()]))
+    for (k, n), rows in groups.items():
+        step = steps[k, n]
+        for lo in range(0, len(rows), step):
+            chunk = rows[lo:lo + step]
+            cols = np.array([point_sets[i] for i in chunk]).transpose(2, 0, 1)  # (n, G, k)
+            pairs = len(chunk) * k * k
+            sq = buf[:n * pairs].reshape(n, len(chunk), k, k)
+            np.subtract(cols[:, :, :, None], cols[:, :, None, :], out=sq)
+            sq *= sq
+            dist = _pairwise_sum(sq.reshape(n, pairs), n).reshape(len(chunk), -1).max(axis=1)
+            for i, v in zip(chunk, np.sqrt(dist).tolist()):
+                out[i] = v
+    return out
+
+
+def _body_diameters(bodies) -> list[float]:
+    """The bodies' diameters; the ones not yet cached come from one `_diameters` call."""
+    todo = list({id(b): b for b in bodies if "diameter" not in vars(b)}.values())
+    for body, d in zip(todo, _diameters([b.vertices for b in todo])):
+        body.diameter = d  # fills the cached property
+    return [b.diameter for b in bodies]
 
 
 class ConvexBody:
@@ -55,7 +88,7 @@ class ConvexBody:
     @functools.cached_property
     def diameter(self) -> float:
         """Largest pairwise vertex distance, computed once (the vertices are read-only)."""
-        return _diameter(self.vertices)
+        return _diameters([self.vertices])[0]
 
     def __repr__(self):
         return f"ConvexBody({len(self.vertices)} vertices in R^{self.dimension})"
@@ -90,7 +123,15 @@ class Functional:
 
     @classmethod
     def zero(cls, n: int) -> "Functional":
-        return cls(np.zeros(n))
+        return cls._of(np.zeros(n))
+
+    @classmethod
+    def _of(cls, c: np.ndarray) -> "Functional":
+        """The functional with coefficients c, a finite vector handed over: not copied or checked."""
+        f = cls.__new__(cls)
+        c.setflags(write=False)
+        f.coefficients = c
+        return f
 
     def __repr__(self):
         return f"Functional({self.coefficients!r})"
@@ -111,21 +152,45 @@ def argmin_set(f: Functional, body: ConvexBody, tol: float = DEFAULT_TOL) -> Arg
     invariant under positive scaling of f together with its minimum. When
     every vertex is active, the diameter is the body's cached one. The set
     keeps f's values on the vertices, so a caller reads them instead of
-    evaluating f again.
+    evaluating f again. This is the block of one of `_argmin_sets`.
     """
     if tol < 0:
         raise InputDomainError("tol must be >= 0")
-    vals = f(body.vertices)
-    m = float(vals.min())
-    active = np.nonzero(vals <= m + tol * (1.0 + abs(m)))[0]
-    if len(active) == 1:
-        diam = 0.0
-    elif len(active) == len(vals):
-        diam = body.diameter
-    else:
-        diam = _diameter(body.vertices[active])
-    vals.setflags(write=False)
-    return ArgminSet(value=m, active_indices=tuple(active.tolist()), diameter=diam, values=vals)
+    return _argmin_sets([f(body.vertices)], [body], tol)[0]
+
+
+def _argmin_sets(vals: list, bodies: list, tol: float) -> list[ArgminSet]:
+    """The argmin sets of the vertex values vals[i] over bodies[i], as one block.
+
+    Min, active mask and active count run on the values padded with +inf past
+    each row's vertex count. A set of one vertex has diameter 0, a set of
+    every vertex its body's cached diameter (`_body_diameters`), and the
+    other sets' diameters come from one `_diameters` call.
+    """
+    if not vals:
+        return []
+    k = [len(v) for v in vals]
+    block = np.full((len(vals), max(k)), np.inf)
+    block[np.arange(max(k)) < np.array(k)[:, None]] = np.concatenate(vals)
+    m = block.min(axis=1)
+    mask = block <= (m + tol * (1.0 + np.abs(m)))[:, None]
+    count = mask.sum(axis=1).tolist()
+    cols = np.nonzero(mask)[1].tolist()
+    active, end = [], 0
+    for c in count:
+        active.append(tuple(cols[end:end + c]))
+        end += c
+    diam = [0.0] * len(vals)
+    full = [i for i, c in enumerate(count) if 1 < c == k[i]]
+    for i, d in zip(full, _body_diameters([bodies[i] for i in full])):
+        diam[i] = d
+    part = [i for i, c in enumerate(count) if 1 < c < k[i]]
+    for i, d in zip(part, _diameters([bodies[i].vertices[list(active[i])] for i in part])):
+        diam[i] = d
+    for v in vals:
+        v.setflags(write=False)
+    return [ArgminSet(value=mi, active_indices=a, diameter=d, values=v)
+            for mi, a, d, v in zip(m.tolist(), active, diam, vals)]
 
 
 @dataclass(frozen=True)
@@ -158,7 +223,8 @@ def semicontinuity_probe(f: Functional, body: ConvexBody, perturbation: Function
     minimum value converges (|m(f_n) - m(f)| -> 0) and the argmin diameter is
     upper semicontinuous (diam M(f_n) <= diam M(f) + DEFAULT_TOL for small
     scales). The small scales are the tail scales[tail_start:], which must
-    hold at least one scale; tail_start defaults to half the scales.
+    hold at least one scale; tail_start defaults to half the scales. The
+    argmin sets of f and of every scale are solved as one block.
     """
     scales = [float(s) for s in scales]
     if any(s2 >= s1 for s1, s2 in zip(scales, scales[1:])) or (scales and scales[-1] <= 0):
@@ -167,12 +233,10 @@ def semicontinuity_probe(f: Functional, body: ConvexBody, perturbation: Function
         tail_start = len(scales) // 2
     if not 0 <= tail_start < len(scales):
         raise InputDomainError(f"tail_start {tail_start} indexes none of the {len(scales)} scales")
-    base = argmin_set(f, body)
-    errors, diams = [], []
-    for s in scales:
-        a = argmin_set(f + s * perturbation, body)
-        errors.append(abs(a.value - base.value))
-        diams.append(a.diameter)
+    fs = [f] + [f + s * perturbation for s in scales]
+    base, *sets = _argmin_sets([g(body.vertices) for g in fs], [body] * len(fs), DEFAULT_TOL)
+    errors = [abs(a.value - base.value) for a in sets]
+    diams = [a.diameter for a in sets]
     tail_max = max(errors[tail_start:])
     violations = sum(1 for d in diams[tail_start:] if d > base.diameter + DEFAULT_TOL)
     return ProbeReport(base=base, scales=tuple(scales), value_errors=tuple(errors),
@@ -187,21 +251,46 @@ def exposing_functional(body: ConvexBody, eps: float,
     The face is the `argmin_set(g, body)` that accepted g. A vertex of a
     polytope is exposed by a generic direction, so a uniform draw on the
     sphere succeeds except on a measure-zero set; the draw is repeated up to
-    `_EXPOSING_DRAWS` times.
+    `_EXPOSING_DRAWS` times. This is the block of one of `_expose`.
     """
     if eps <= 0:
         raise InputDomainError("eps must be positive")
-    rng = np.random.default_rng(seed)
+    return _raised(_expose([body], [eps], [seed])[0])
+
+
+def _raised(entry):
+    """A batch entry, raised if it is an error."""
+    if isinstance(entry, Exception):
+        raise entry
+    return entry
+
+
+def _expose(bodies: list, eps: list, seeds: list) -> list:
+    """`exposing_functional` of each row, one block per round of draws.
+
+    Row i draws from its own `default_rng(seeds[i])` until a draw is
+    accepted; its entry is (g, face) or its ExposureFailureError.
+    """
+    rngs = [np.random.default_rng(s) for s in seeds]
+    out = [None] * len(bodies)
+    live = range(len(bodies))
     for _ in range(_EXPOSING_DRAWS):
-        v = rng.standard_normal(body.dimension)
-        nv = _norm(v)
-        if nv == 0.0:
-            continue
-        g = Functional(v / nv)
-        face = argmin_set(g, body)
-        if face.diameter <= eps:
-            return g, face
-    raise ExposureFailureError(f"no exposing direction found in {_EXPOSING_DRAWS} draws")
+        drawn = []
+        for i in live:
+            v = rngs[i].standard_normal(bodies[i].dimension)
+            nv = _norm(v)
+            if nv != 0.0:
+                drawn.append((i, Functional._of(v / nv)))
+        faces = _argmin_sets([bodies[i].vertices @ g.coefficients for i, g in drawn],
+                             [bodies[i] for i, _ in drawn], DEFAULT_TOL)
+        for (i, g), face in zip(drawn, faces):
+            if face.diameter <= eps[i]:
+                out[i] = (g, face)
+        live = [i for i in live if out[i] is None]
+        if not live:
+            return out
+    return [ExposureFailureError(f"no exposing direction found in {_EXPOSING_DRAWS} draws")
+            if o is None else o for o in out]
 
 
 @dataclass(frozen=True)
@@ -230,55 +319,92 @@ def shrink_argmin(f: Functional, body: ConvexBody, eps: float, delta: float,
     violation or an exhausted schedule is surfaced as an error, never ignored;
     when t * g is too small to separate the face's vertices under the
     active-set tolerance, the error says that delta is below what DEFAULT_TOL
-    resolves.
+    resolves. This is the batch of one of `shrink_argmin_batch`.
     """
-    if eps <= 0 or delta <= 0:
+    return _raised(shrink_argmin_batch([f], [body], [eps], [delta], [seed])[0])
+
+
+def shrink_argmin_batch(fs, bodies, eps, delta, seeds) -> list:
+    """`shrink_argmin(fs[i], bodies[i], eps[i], delta[i], seeds[i])` of every row i.
+
+    The rows run as one block per step: the argmin sets of f, each round of
+    exposing draws, each halving of t. Every row keeps its own exposing
+    generator, draw count and trimmed t, and leaves the block at the draw and
+    the halving that settle it, so its entry has the bits it gets alone: the
+    PerturbationResult, or the PerturbationFailureError or
+    ExposureFailureError that `shrink_argmin` raises for it.
+    """
+    if not len(fs) == len(bodies) == len(eps) == len(delta) == len(seeds):
+        raise InputDomainError("fs, bodies, eps, delta and seeds need one entry per row")
+    if any(e <= 0 for e in eps) or any(d <= 0 for d in delta):
         raise InputDomainError("eps and delta must be positive")
-    base = argmin_set(f, body)
-    whole = len(base.active_indices) == len(body.vertices)
-    face = body if whole else ConvexBody(body.vertices[list(base.active_indices)])
-    g, exposed = exposing_functional(face, eps / 2.0, seed=seed)
-    m0 = exposed.value
-    # g on every vertex, for the face test of each active set below
-    g_vals = exposed.values if whole else g(body.vertices)
-    cf, cg, g_norm = f.coefficients, g.coefficients, g.norm
-    tested = []
-    scale = 1.0 + abs(base.value)
+    bases = _argmin_sets([b.vertices @ f.coefficients for f, b in zip(fs, bodies)], bodies,
+                         DEFAULT_TOL)
+    faces = [b if len(a.active_indices) == len(b.vertices)
+             else ConvexBody(b.vertices[list(a.active_indices)])
+             for a, b in zip(bases, bodies)]
+    exposed = _expose(faces, [e / 2.0 for e in eps], seeds)
+    out = [e if isinstance(e, Exception) else None for e in exposed]
+    live = [i for i, o in enumerate(out) if o is None]
+    g_norms = {i: exposed[i][0].norm for i in live}
+    # g on every vertex, for the face test of each active set
+    g_vals = {i: exposed[i][1].values if faces[i] is bodies[i]
+              else bodies[i].vertices @ exposed[i][0].coefficients for i in live}
+    tested = {i: [] for i in live}
     for k in range(_HALVINGS):
-        t = delta / (g_norm * 2.0 ** k)
-        while True:
-            cs = cf + t * cg  # the coefficients of f + t*g
-            shift = _norm(cs - cf)
-            if shift <= delta:
-                break
-            # rescale to the realized shift, stepping at least one ulp down so t strictly decreases
-            t = min(t * (delta / shift), float(np.nextafter(t, 0.0)))
-        tested.append(t)
-        fs = Functional(cs)
-        a = argmin_set(fs, body)
-        if a.value > base.value + t * m0 + DEFAULT_TOL * scale:
-            raise PerturbationFailureError(
-                f"minimum-value bound violated at t = {t:g}: "
-                f"{a.value:g} > {base.value + t * m0:g}")
-        gvals = g_vals[list(a.active_indices)]
-        if gvals.max() > m0 + DEFAULT_TOL * (1.0 + abs(m0)):
-            # a vertex of f's argmin face stays active under f + t*g when the
-            # tolerances of both active sets cover its separation t*(g(x) - m0)
-            apart = t * (gvals.max() - m0)
-            window = DEFAULT_TOL * (scale + 1.0 + abs(a.value))
-            if apart <= window:
-                raise PerturbationFailureError(
-                    f"delta = {delta:g} is below what tol = {DEFAULT_TOL:g} can resolve: "
-                    f"at t = {t:g} the perturbation separates the face's vertices by "
-                    f"{apart:g}, within the active-set tolerance {window:g}")
-            raise PerturbationFailureError(
-                f"active vertex of the perturbed functional escapes the exposed face "
-                f"at t = {t:g}")
-        if a.diameter <= eps:
-            return PerturbationResult(functional=fs, t=t, before=base, after=a,
-                                      tested_t=tuple(tested))
-    raise PerturbationFailureError(
-        f"schedule of {_HALVINGS} halvings exhausted without shrinking the argmin")
+        steps = [_trimmed_step(fs[i].coefficients, exposed[i][0].coefficients,
+                               delta[i] / (g_norms[i] * 2.0 ** k), delta[i]) for i in live]
+        sets = _argmin_sets([bodies[i].vertices @ cs for i, (_, cs) in zip(live, steps)],
+                            [bodies[i] for i in live], DEFAULT_TOL)
+        for i, (t, cs), a in zip(live, steps, sets):
+            tested[i].append(t)
+            out[i] = _step_error(bases[i], exposed[i][1].value, g_vals[i], t, a, delta[i])
+            if out[i] is None and a.diameter <= eps[i]:
+                out[i] = PerturbationResult(functional=Functional._of(cs), t=t, before=bases[i],
+                                            after=a, tested_t=tuple(tested[i]))
+        live = [i for i in live if out[i] is None]
+        if not live:
+            return out
+    for i in live:
+        out[i] = PerturbationFailureError(
+            f"schedule of {_HALVINGS} halvings exhausted without shrinking the argmin")
+    return out
+
+
+def _trimmed_step(cf: np.ndarray, cg: np.ndarray, t: float,
+                  delta: float) -> tuple[float, np.ndarray]:
+    """The scheduled t, trimmed until ||(f + t*g) - f|| <= delta, and f + t*g's coefficients."""
+    while True:
+        cs = cf + t * cg  # the coefficients of f + t*g
+        shift = _norm(cs - cf)
+        if shift <= delta:
+            return t, cs
+        # rescale to the realized shift, stepping at least one ulp down so t strictly decreases
+        t = min(t * (delta / shift), float(np.nextafter(t, 0.0)))
+
+
+def _step_error(base: ArgminSet, m0: float, g_vals: np.ndarray, t: float, a: ArgminSet,
+                delta: float) -> PerturbationFailureError | None:
+    """The violated inequality at the tested t, if any; a is the argmin set of f + t*g."""
+    scale = 1.0 + abs(base.value)
+    if a.value > base.value + t * m0 + DEFAULT_TOL * scale:
+        return PerturbationFailureError(
+            f"minimum-value bound violated at t = {t:g}: "
+            f"{a.value:g} > {base.value + t * m0:g}")
+    g_max = max(g_vals.item(j) for j in a.active_indices)
+    if g_max <= m0 + DEFAULT_TOL * (1.0 + abs(m0)):
+        return None
+    # a vertex of f's argmin face stays active under f + t*g when the
+    # tolerances of both active sets cover its separation t*(g(x) - m0)
+    apart = t * (g_max - m0)
+    window = DEFAULT_TOL * (scale + 1.0 + abs(a.value))
+    if apart <= window:
+        return PerturbationFailureError(
+            f"delta = {delta:g} is below what tol = {DEFAULT_TOL:g} can resolve: "
+            f"at t = {t:g} the perturbation separates the face's vertices by "
+            f"{apart:g}, within the active-set tolerance {window:g}")
+    return PerturbationFailureError(
+        f"active vertex of the perturbed functional escapes the exposed face at t = {t:g}")
 
 
 def uniqueness_fraction(body: ConvexBody, sample_count: int, eps: float,
@@ -291,9 +417,8 @@ def uniqueness_fraction(body: ConvexBody, sample_count: int, eps: float,
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     vals = dirs @ body.vertices.T  # (samples, vertices)
     m = vals.min(axis=1)
-    hits = 0
-    for i in range(sample_count):
-        active = body.vertices[vals[i] <= m[i] + DEFAULT_TOL * (1.0 + abs(m[i]))]
-        if len(active) == 1 or _diameter(active) <= eps:
-            hits += 1
+    active = vals <= (m + DEFAULT_TOL * (1.0 + np.abs(m)))[:, None]
+    # the diameters of the multi-vertex active sets, from one call
+    multi = [body.vertices[active[i]] for i in np.nonzero(active.sum(axis=1) > 1)[0]]
+    hits = sample_count - len(multi) + sum(d <= eps for d in _diameters(multi))
     return hits / sample_count

@@ -377,27 +377,33 @@ def test_consistency_pushes_each_loop_forward_once(monkeypatch):
 
 def test_mane_polytope_reads_the_argmin_sets_shrink_argmin_computed(monkeypatch):
     from torusgeo import experiments, polytope
-    calls, shrinking = [], []
+    blocks, batches, shrinking = [], [], []
 
-    def argmin(*args, _real=polytope.argmin_set, **kwargs):
-        calls.append(bool(shrinking))
-        return _real(*args, **kwargs)
+    def argmin_sets(vals, bodies, tol, _real=polytope._argmin_sets):
+        blocks.append((bool(shrinking), len(vals)))
+        return _real(vals, bodies, tol)
 
-    def shrink(*args, _real=experiments.shrink_argmin, **kwargs):
+    def shrink(*args, _real=experiments.shrink_argmin_batch):
         shrinking.append(1)
+        batches.append(len(args[0]))
         try:
-            return _real(*args, **kwargs)
+            return _real(*args)
         finally:
             shrinking.pop()
 
-    monkeypatch.setattr(polytope, "argmin_set", argmin)
-    monkeypatch.setattr(experiments, "argmin_set", argmin, raising=False)
-    monkeypatch.setattr(experiments, "shrink_argmin", shrink)
-    records, checks = experiments.run_mane_polytope({}, 2)
-    assert all(checks.values())
-    assert all(calls)  # every argmin set is shrink_argmin's own
-    # per trial: f's argmin, one exposing draw and one tested step
-    assert len(calls) == 100 * 3
+    # argmin_set is the block of one of _argmin_sets, so this sees every argmin set
+    monkeypatch.setattr(polytope, "_argmin_sets", argmin_sets)
+    monkeypatch.setattr(experiments, "shrink_argmin_batch", shrink)
+    block = experiments._MANE_BLOCK
+    for cfg, sizes in [({}, [100]), ({"trials": str(block + 50)}, [block, 50])]:
+        blocks.clear()
+        batches.clear()
+        records, checks = experiments.run_mane_polytope(cfg, 2)
+        assert all(checks.values())
+        assert batches == sizes
+        assert all(inside for inside, _ in blocks)  # every argmin set is the batch's own
+        # per batch: f's argmin sets, one round of exposing draws and one tested step
+        assert [n for _, n in blocks] == [n for n in sizes for _ in range(3)]
 
 
 def test_speed_cap_lengths_exact_catches_a_long_loop(monkeypatch):

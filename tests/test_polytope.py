@@ -165,28 +165,85 @@ def test_bruteforce_oracle_equals_numpy_scalar_scan():
 
 # -- diameters ------------------------------------------------------------------
 
+def pairwise_diameter(p):
+    """The diameter formula `_diameters` reproduces, one point set at a time."""
+    return float(np.sqrt(((p[:, None] - p[None]) ** 2).sum(-1).max()))
+
+
+def test_diameters_are_the_pairwise_formula_bit_for_bit():
+    # every n from 1 to 20 (below 8 columns in order, from 8 on the accumulator
+    # tree and its remainder), every k from 1 to 45, duplicate vertices, shapes
+    # repeated past one stack of `_DIAMETER_CHUNK` squared differences
+    rng = np.random.default_rng(23)
+    sets = []
+    for n in range(1, 21):
+        for k in range(1, 46):
+            p = rng.standard_normal((k, n)) * rng.choice([1e-3, 1.0, 1e3])
+            if k > 2:
+                p[rng.integers(1, k)] = p[0]
+            sets.append(p)
+    sets += [rng.standard_normal((40, 8)) for _ in range(12)] + [np.ones((5, 3))] * 3
+    want = [pairwise_diameter(p).hex() for p in sets]
+    assert [d.hex() for d in polytope._diameters(sets)] == want
+    order = rng.permutation(len(sets))
+    assert [d.hex() for d in polytope._diameters([sets[i] for i in order])] \
+        == [want[i] for i in order]
+    assert polytope._diameters([]) == []
+
+
 def test_all_active_argmin_returns_pairwise_diameter_computed_once(monkeypatch):
     calls = []
-    real = polytope._diameter
+    real = polytope._diameters
 
-    def counted(pts):
-        calls.append(len(pts))
-        return real(pts)
+    def counted(point_sets):
+        calls.append([p.tobytes() for p in point_sets])
+        return real(point_sets)
 
-    monkeypatch.setattr(polytope, "_diameter", counted)
+    monkeypatch.setattr(polytope, "_diameters", counted)
     rng = np.random.default_rng(12)
-    for _ in range(20):
-        body = random_body(rng)
-        k = len(body.vertices)
-        zero = Functional.zero(body.dimension)
-        d = (body.vertices[:, None, :] - body.vertices[None, :, :])
-        assert body.diameter == float(np.sqrt((d ** 2).sum(axis=-1)).max())
+    bodies = [random_body(rng) for _ in range(20)]
+    zeros = [Functional.zero(body.dimension) for body in bodies]
+    eps = [1e-3 * pairwise_diameter(body.vertices) for body in bodies]
+    # the whole body is f = 0's argmin face: the batch exposes inside it
+    results = polytope.shrink_argmin_batch(zeros, bodies, eps, [0.1] * 20, list(range(20)))
+    for body, zero, res in zip(bodies, zeros, results):
+        assert res.before.diameter == body.diameter == pairwise_diameter(body.vertices)
         for _ in range(3):
             assert argmin_set(zero, body).diameter == body.diameter
-        # the whole body is f = 0's argmin face: shrink_argmin exposes inside it
-        shrink_argmin(zero, body, eps=1e-3 * body.diameter, delta=0.1)
-        assert calls.count(k) == 1
-        calls.clear()
+    # the twenty diameters come from the batch's first call, and none again
+    whole = [body.vertices.tobytes() for body in bodies]
+    assert calls[0] == whole
+    assert [key for call in calls for key in call if key in whole] == whole
+
+
+def fraction_one_at_a_time(body, sample_count, eps, seed):
+    """`uniqueness_fraction` with one diameter per sample."""
+    rng = np.random.default_rng(seed)
+    dirs = rng.standard_normal((sample_count, body.dimension))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    vals = dirs @ body.vertices.T
+    m = vals.min(axis=1)
+    hits = 0
+    for i in range(sample_count):
+        active = body.vertices[vals[i] <= m[i] + polytope.DEFAULT_TOL * (1.0 + abs(m[i]))]
+        if len(active) == 1 or pairwise_diameter(active) <= eps:
+            hits += 1
+    return hits / sample_count
+
+
+def test_uniqueness_fraction_equals_one_diameter_per_sample():
+    rng = np.random.default_rng(24)
+    bodies = [SQUARE, ConvexBody([(0.0, 0.0), (1e-10, 0.0), (1.0, 1.0)])]
+    for _ in range(20):
+        body = random_body(rng)
+        bodies.append(body)
+        # exact and near copies of three vertices make multi-vertex active sets
+        near = body.vertices[:3] + 1e-10 * rng.standard_normal((3, body.dimension))
+        bodies.append(ConvexBody(np.vstack([body.vertices, body.vertices[:3], near])))
+    for i, body in enumerate(bodies):
+        for eps in (0.0, 1e-12, 1e-9, 1.0):
+            assert uniqueness_fraction(body, 300, eps, seed=i) \
+                == fraction_one_at_a_time(body, 300, eps, seed=i)
 
 
 # -- semicontinuity -------------------------------------------------------------
@@ -347,6 +404,97 @@ def test_shrink_returns_its_argmin_sets():
         res = shrink_argmin(f, body, eps=1e-3 * body.diameter, delta=0.1, seed=trial)
         assert res.before == argmin_set(f, body)
         assert res.after == argmin_set(res.functional, body)
+
+
+# -- shrink_argmin_batch -------------------------------------------------------------
+
+# two vertices 2e-9 apart: a third of the draws leave both active, wider than eps / 2
+REDRAW = ConvexBody([(0.0, 0.0), (2e-9, 0.0)])
+# f's argmin is the first vertex; at the first t a near tie keeps both active for some g
+HALVING = ConvexBody([(0.0, 1e6), (0.03, 1e6 + 1.5e-3)])
+SEGMENT = ConvexBody([(0.0, 0.0), (1e-12, 0.0)])
+
+
+def batch_row(kind: int, seed: int) -> tuple:
+    """(f, body, eps, delta, seed) of one batch row of the given kind."""
+    rng = np.random.default_rng(seed)
+    if kind in (0, 1):  # a random body, f = 0 or f with a one-vertex face
+        body = random_body(rng)
+        f = Functional(kind * 10.0 ** rng.integers(0, 4) * rng.standard_normal(body.dimension))
+        return f, body, 1e-3 * body.diameter, 0.1, seed
+    if kind == 2:  # a cube under a coordinate functional: a face of 2^(n-1) vertices
+        n = int(rng.integers(2, 6))
+        body = ConvexBody(np.array(np.meshgrid(*[[0.0, 1.0]] * n)).reshape(n, -1).T)
+        return Functional(np.eye(n)[0]), body, 1e-3 * body.diameter, 0.1, seed
+    if kind == 3:
+        return Functional.zero(2), REDRAW, 1e-12, 10.0, seed
+    if kind == 4:
+        return Functional((0.0, 1.0)), HALVING, 1e-3, 0.1, seed
+    if kind == 5:  # delta below what the tolerance resolves
+        return Functional((1.0, 0.0)), SQUARE, 1e-3, 1e-12, seed
+    return Functional.zero(2), SEGMENT, 2e-13, 0.1, seed  # no draw exposes a point
+
+
+def entry_bits(entry) -> tuple:
+    """Everything a batch entry holds, as bytes, hex floats and strings."""
+    if isinstance(entry, Exception):
+        return type(entry).__name__, str(entry)
+
+    def argmin_bits(a):
+        return a.value.hex(), a.active_indices, a.diameter.hex(), a.values.tobytes()
+
+    return (entry.functional.coefficients.tobytes(), entry.t.hex(),
+            [t.hex() for t in entry.tested_t], argmin_bits(entry.before), argmin_bits(entry.after))
+
+
+def alone(row):
+    try:
+        return shrink_argmin(*row)
+    except (ExposureFailureError, PerturbationFailureError) as e:
+        return e
+
+
+def assert_batch_is_each_row_alone(rows, order):
+    want = [entry_bits(alone(row)) for row in rows]
+    for perm in (range(len(rows)), order):
+        batch = polytope.shrink_argmin_batch(*[list(col) for col in zip(*[rows[i] for i in perm])])
+        assert [entry_bits(entry) for entry in batch] == [want[i] for i in perm]
+
+
+def test_shrink_batch_rows_cover_redraws_halvings_and_errors():
+    rows = [batch_row(kind, seed) for kind in range(7) for seed in range(6)]
+    outs = [alone(row) for row in rows]
+    kinds = [kind for kind in range(7) for _ in range(6)]
+    assert {type(o).__name__ for o in outs} == {"PerturbationResult", "PerturbationFailureError",
+                                               "ExposureFailureError"}
+    assert all("below what tol" in str(o) for o, kind in zip(outs, kinds) if kind == 5)
+    # f's argmin faces: the whole body, one vertex, and proper faces of many vertices
+    faces = [len(o.before.active_indices) for o, kind in zip(outs, kinds) if kind < 3]
+    assert min(faces) == 1 and max(faces) > 1
+    # REDRAW rows whose first draw was rejected, HALVING rows that halved past k = 0
+    redrawn = [exposing_functional(REDRAW, 5e-13, seed=seed)[0] for seed in range(6)]
+    first = [np.random.default_rng(seed).standard_normal(2) for seed in range(6)]
+    assert any(not np.array_equal(g.coefficients, v / np.linalg.norm(v))
+               for g, v in zip(redrawn, first))
+    assert max(len(o.tested_t) for o, kind in zip(outs, kinds) if kind == 4) > 1
+    assert_batch_is_each_row_alone(rows, np.random.default_rng(25).permutation(len(rows)))
+
+
+@given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 2 ** 31 - 1)), min_size=1,
+                max_size=10), st.data())
+@settings(max_examples=40, deadline=None)
+def test_shrink_batch_equals_each_row_alone_hypothesis(specs, data):
+    rows = [batch_row(kind, seed) for kind, seed in specs]
+    assert_batch_is_each_row_alone(rows, data.draw(st.permutations(range(len(rows)))))
+
+
+def test_shrink_batch_rejects_mismatched_or_nonpositive_rows():
+    zero = Functional.zero(2)
+    with pytest.raises(InputDomainError, match="one entry per row"):
+        polytope.shrink_argmin_batch([zero], [SQUARE, SQUARE], [0.1], [0.1], [0])
+    with pytest.raises(InputDomainError, match="positive"):
+        polytope.shrink_argmin_batch([zero] * 2, [SQUARE] * 2, [0.1, 0.0], [0.1] * 2, [0, 1])
+    assert polytope.shrink_argmin_batch([], [], [], [], []) == []
 
 
 # -- uniqueness_fraction --------------------------------------------------------------
