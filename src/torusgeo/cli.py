@@ -6,7 +6,7 @@ import sys
 
 from .config import parse_config
 from .errors import ConfigError, SolverFailureError, TorusGeoError
-from .experiments import EXPERIMENTS, emit_plot_data, run
+from .experiments import emit_plot_data, run
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -17,10 +17,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run an experiment from a config file")
     p_run.add_argument("config", help="key = value config file")
-    p_run.add_argument("--seed", type=int, default=None, help="override the config seed")
     p_run.add_argument("--out", default=None, help="report path (JSON lines)")
-    p_run.add_argument("--experiment", default=None, choices=EXPERIMENTS,
-                       help="override the experiment id")
     p_run.add_argument("--override", action="append", default=[], metavar="KEY=VALUE",
                        help="override any config key (repeatable)")
 
@@ -41,10 +38,6 @@ def main(argv=None) -> int:
                     raise ConfigError(f"--override expects KEY=VALUE, got {item!r}")
                 key, value = item.split("=", 1)
                 cfg[key.strip()] = value.strip()
-            if args.seed is not None:
-                cfg["seed"] = str(args.seed)
-            if args.experiment is not None:
-                cfg["experiment"] = args.experiment
             out = args.out or cfg.get("out", "report.jsonl")
             return run(cfg, out)
         return emit_plot_data(args.report, args.out)

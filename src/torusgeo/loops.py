@@ -132,55 +132,22 @@ def segment_lengths(metric: FinslerMetric, loop: DiscreteLoop) -> np.ndarray:
     return metric.speed(*edges(loop.vertices, loop.winding))
 
 
-def _pairwise_sum(terms: np.ndarray, n) -> np.ndarray:
-    """Sums of the first n[i] terms of each column terms[:, i], shape (M, B).
-
-    Each sum is bitwise numpy's sum of those n[i] terms laid along a contiguous
-    axis. numpy sums pairwise: a run of more than 128 terms splits at half its
-    length, rounded down to a multiple of 8; a shorter run of at least 8 runs
-    8 strided accumulators over its whole blocks of 8, combines them as a tree
-    and then adds the rest in order; fewer than 8 terms add in order. n
-    broadcasts to (B,); below M = 8 it must be M, from there on at least 8.
-    """
-    width = len(terms)
-    if width < 8:
-        out = np.zeros(terms.shape[1:])
-        for term in terms:
-            out += term
-        return out
-    n = np.broadcast_to(n, terms.shape[1:])
-    big = n > 128
-    if big.any():
-        out = np.empty(terms.shape[1:])
-        out[~big] = _pairwise_sum(terms[:, ~big], n[~big])
-        half = n[big] // 2 - n[big] // 2 % 8
-        upper = np.take_along_axis(
-            terms[:, big], np.minimum(half + np.arange(width)[:, None], width - 1), axis=0)
-        out[big] = _pairwise_sum(terms[:, big], half) + _pairwise_sum(upper, n[big] - half)
-        return out
-    whole = n // 8
-    acc = terms[:8]
-    for k in range(1, width // 8):
-        acc = np.where(k < whole, acc + terms[8 * k:8 * k + 8], acc)
-    out = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
-    # a remainder term sits at 8 * whole + i < n <= width, so i < width - 8
-    rest = np.take_along_axis(
-        terms, np.minimum(8 * whole + np.arange(min(7, width - 8))[:, None], width - 1), axis=0)
-    for i, term in enumerate(rest):
-        out = np.where(i < n % 8, out + term, out)
-    return out
-
-
 def _row_sums(a: np.ndarray, n) -> np.ndarray:
-    """Sums of the rows a[i, :n[i]] of a, shape (B, M) padded past each n[i] >= 8.
+    """Sums of the rows a[i, :n[i]] of a, shape (B, M), padded past each n[i].
 
-    Each sum is bitwise numpy's a[i, :n[i]].sum() (`_pairwise_sum` of the
-    columns). When every row fills the width, a.sum(axis=-1) is those sums.
+    Each sum is bitwise numpy's a[i, :n[i]].sum(): the rows of one N are one
+    numpy sum over their first N columns. When every row fills the width,
+    a.sum(axis=-1) is those sums.
     """
     n = np.asarray(n)
     if np.all(n == a.shape[-1]):
         return a.sum(axis=-1)
-    return _pairwise_sum(a.T, n)
+    out = np.empty(len(a))
+    # a set, not np.unique: np.unique's first call in a process adds about 1 MiB of peak memory
+    for size in set(n.tolist()):
+        rows = n == size
+        out[rows] = a[rows, :size].sum(axis=-1)
+    return out
 
 
 def _length_action(ell: np.ndarray, n) -> tuple:

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ExposureFailureError, InputDomainError, PerturbationFailureError
-from .loops import _pairwise_sum
 
 DEFAULT_TOL = 1e-9
 _EXPOSING_DRAWS = 64
@@ -28,13 +27,39 @@ def _norm(c: np.ndarray) -> float:
     return math.sqrt(float(c @ c))
 
 
+def _column_sums(terms: np.ndarray) -> np.ndarray:
+    """Column sums of terms (n, P), each bitwise numpy's sum of its n terms laid contiguously.
+
+    numpy sums a contiguous run pairwise: a run of more than 128 terms splits
+    at half its length, rounded down to a multiple of 8; a shorter run of at
+    least 8 runs 8 strided accumulators over its whole blocks of 8, combines
+    them as a tree and then adds the rest in order; fewer than 8 terms add in
+    order.
+    """
+    n = len(terms)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _column_sums(terms[:half]) + _column_sums(terms[half:])
+    whole = n - n % 8
+    if whole:
+        acc = terms[:8]
+        for k in range(8, whole, 8):
+            acc = acc + terms[k:k + 8]
+        out = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+    else:
+        out = np.zeros(terms.shape[1:])
+    for term in terms[whole:]:
+        out += term
+    return out
+
+
 def _diameters(point_sets) -> list[float]:
     """Largest pairwise distance of the rows of each (k, n) point set.
 
     Each is bitwise np.sqrt(((p[:, None] - p[None]) ** 2).sum(-1).max()).
     Point sets of one exact shape are stacked, and the n squared coordinate
     differences of each pair are summed column by column in numpy's pairwise
-    order (`loops._pairwise_sum`). The root is taken after the max, which it
+    order (`_column_sums`). The root is taken after the max, which it
     commutes with (it is correctly rounded and monotone).
     """
     out = [0.0] * len(point_sets)
@@ -55,7 +80,7 @@ def _diameters(point_sets) -> list[float]:
             sq = buf[:n * pairs].reshape(n, len(chunk), k, k)
             np.subtract(cols[:, :, :, None], cols[:, :, None, :], out=sq)
             sq *= sq
-            dist = _pairwise_sum(sq.reshape(n, pairs), n).reshape(len(chunk), -1).max(axis=1)
+            dist = _column_sums(sq.reshape(n, pairs)).reshape(len(chunk), -1).max(axis=1)
             for i, v in zip(chunk, np.sqrt(dist).tolist()):
                 out[i] = v
     return out
@@ -253,7 +278,7 @@ def exposing_functional(body: ConvexBody, eps: float,
     sphere succeeds except on a measure-zero set; the draw is repeated up to
     `_EXPOSING_DRAWS` times. This is the block of one of `_expose`.
     """
-    if eps <= 0:
+    if not eps > 0:  # also nan
         raise InputDomainError("eps must be positive")
     return _raised(_expose([body], [eps], [seed])[0])
 
@@ -336,8 +361,9 @@ def shrink_argmin_batch(fs, bodies, eps, delta, seeds) -> list:
     """
     if not len(fs) == len(bodies) == len(eps) == len(delta) == len(seeds):
         raise InputDomainError("fs, bodies, eps, delta and seeds need one entry per row")
-    if any(e <= 0 for e in eps) or any(d <= 0 for d in delta):
-        raise InputDomainError("eps and delta must be positive")
+    # the negated comparisons also reject nan; an infinite delta has no schedule
+    if not all(e > 0 for e in eps) or not all(0 < d < math.inf for d in delta):
+        raise InputDomainError("eps must be positive and delta positive and finite")
     bases = _argmin_sets([b.vertices @ f.coefficients for f, b in zip(fs, bodies)], bodies,
                          DEFAULT_TOL)
     faces = [b if len(a.active_indices) == len(b.vertices)
@@ -409,16 +435,16 @@ def _step_error(base: ArgminSet, m0: float, g_vals: np.ndarray, t: float, a: Arg
 
 def uniqueness_fraction(body: ConvexBody, sample_count: int, eps: float,
                         seed: int = 0) -> float:
-    """Fraction of uniform unit functionals whose argmin has diameter <= eps."""
+    """Fraction of uniform unit functionals whose argmin has diameter <= eps.
+
+    The argmin sets of all the samples are one `_argmin_sets` block.
+    """
     if sample_count < 1:
         raise InputDomainError("sample_count must be >= 1")
+    if not eps >= 0:  # also nan
+        raise InputDomainError("eps must be >= 0")
     rng = np.random.default_rng(seed)
     dirs = rng.standard_normal((sample_count, body.dimension))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    vals = dirs @ body.vertices.T  # (samples, vertices)
-    m = vals.min(axis=1)
-    active = vals <= (m + DEFAULT_TOL * (1.0 + np.abs(m)))[:, None]
-    # the diameters of the multi-vertex active sets, from one call
-    multi = [body.vertices[active[i]] for i in np.nonzero(active.sum(axis=1) > 1)[0]]
-    hits = sample_count - len(multi) + sum(d <= eps for d in _diameters(multi))
-    return hits / sample_count
+    sets = _argmin_sets(list(dirs @ body.vertices.T), [body] * sample_count, DEFAULT_TOL)
+    return sum(a.diameter <= eps for a in sets) / sample_count

@@ -84,7 +84,7 @@ def test_run_mane_small(tmp_path):
 def test_run_overrides_and_seed_flag(tmp_path):
     cfg = write(tmp_path, "semi.cfg", "experiment = semicontinuity\ntrials = 9\nseed = 1\n")
     out = str(tmp_path / "o.jsonl")
-    assert main(["run", cfg, "--out", out, "--override", "trials=2", "--seed", "5"]) == 0
+    assert main(["run", cfg, "--out", out, "--override", "trials=2", "--override", "seed=5"]) == 0
     rows = read_report(out)
     echoed = rows[1]["config"]
     assert echoed["trials"] == "2"

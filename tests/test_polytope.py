@@ -53,9 +53,25 @@ def test_shrink_rejects_nonpositive_eps_or_delta(eps, delta):
         shrink_argmin(Functional.zero(2), SQUARE, eps=eps, delta=delta)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: shrink_argmin(Functional.zero(2), SQUARE, 0.1, float("nan")),
+    lambda: shrink_argmin(Functional.zero(2), SQUARE, 0.1, float("inf")),
+    lambda: shrink_argmin(Functional.zero(2), SQUARE, float("nan"), 0.1),
+    lambda: exposing_functional(SQUARE, float("nan")),
+], ids=["delta-nan", "delta-inf", "eps-nan", "expose-eps-nan"])
+def test_shrink_and_expose_reject_nan_eps_and_nonfinite_delta(call):
+    # a nan delta used to spin in the trimmed step, an infinite one to fail
+    # on an empty max, and a nan eps to fail every exposing draw
+    with pytest.raises(InputDomainError, match="positive"):
+        call()
+
+
 def test_uniqueness_fraction_rejects_zero_samples():
     with pytest.raises(InputDomainError, match="sample_count"):
         uniqueness_fraction(SQUARE, 0, eps=0.1)
+    for eps in (-1.0, float("nan")):
+        with pytest.raises(InputDomainError, match="eps"):
+            uniqueness_fraction(SQUARE, 10, eps=eps)
 
 
 # -- argmin_set -----------------------------------------------------------------
@@ -172,8 +188,9 @@ def pairwise_diameter(p):
 
 def test_diameters_are_the_pairwise_formula_bit_for_bit():
     # every n from 1 to 20 (below 8 columns in order, from 8 on the accumulator
-    # tree and its remainder), every k from 1 to 45, duplicate vertices, shapes
-    # repeated past one stack of `_DIAMETER_CHUNK` squared differences
+    # tree and its remainder), n around and past 128 (the split in halves),
+    # every k from 1 to 45, duplicate vertices, shapes repeated past one stack
+    # of `_DIAMETER_CHUNK` squared differences
     rng = np.random.default_rng(23)
     sets = []
     for n in range(1, 21):
@@ -183,6 +200,8 @@ def test_diameters_are_the_pairwise_formula_bit_for_bit():
                 p[rng.integers(1, k)] = p[0]
             sets.append(p)
     sets += [rng.standard_normal((40, 8)) for _ in range(12)] + [np.ones((5, 3))] * 3
+    sets += [rng.standard_normal((k, n)) * rng.choice([1e-3, 1.0, 1e3])
+             for n in (127, 128, 129, 136, 300) for k in (2, 7)]
     want = [pairwise_diameter(p).hex() for p in sets]
     assert [d.hex() for d in polytope._diameters(sets)] == want
     order = rng.permutation(len(sets))
