@@ -27,40 +27,15 @@ def _norm(c: np.ndarray) -> float:
     return math.sqrt(float(c @ c))
 
 
-def _column_sums(terms: np.ndarray) -> np.ndarray:
-    """Column sums of terms (n, P), each bitwise numpy's sum of its n terms laid contiguously.
-
-    numpy sums a contiguous run pairwise: a run of more than 128 terms splits
-    at half its length, rounded down to a multiple of 8; a shorter run of at
-    least 8 runs 8 strided accumulators over its whole blocks of 8, combines
-    them as a tree and then adds the rest in order; fewer than 8 terms add in
-    order.
-    """
-    n = len(terms)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _column_sums(terms[:half]) + _column_sums(terms[half:])
-    whole = n - n % 8
-    if whole:
-        acc = terms[:8]
-        for k in range(8, whole, 8):
-            acc = acc + terms[k:k + 8]
-        out = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
-    else:
-        out = np.zeros(terms.shape[1:])
-    for term in terms[whole:]:
-        out += term
-    return out
-
-
 def _diameters(point_sets) -> list[float]:
     """Largest pairwise distance of the rows of each (k, n) point set.
 
-    Each is bitwise np.sqrt(((p[:, None] - p[None]) ** 2).sum(-1).max()).
-    Point sets of one exact shape are stacked, and the n squared coordinate
-    differences of each pair are summed column by column in numpy's pairwise
-    order (`_column_sums`). The root is taken after the max, which it
-    commutes with (it is correctly rounded and monotone).
+    Each is bitwise the root of the largest in-order sum of a pair's squared
+    coordinate differences, (dx_0^2 + dx_1^2) + dx_2^2 + ... Point sets of one
+    exact shape are stacked, and numpy adds the n coordinate rows of a stack
+    one after another (a stack of one pair is a one-point set, whose terms
+    are all 0). The root is taken after the max, which it commutes with (it
+    is correctly rounded and monotone).
     """
     out = [0.0] * len(point_sets)
     groups = {}
@@ -80,7 +55,7 @@ def _diameters(point_sets) -> list[float]:
             sq = buf[:n * pairs].reshape(n, len(chunk), k, k)
             np.subtract(cols[:, :, :, None], cols[:, :, None, :], out=sq)
             sq *= sq
-            dist = _column_sums(sq.reshape(n, pairs)).reshape(len(chunk), -1).max(axis=1)
+            dist = sq.reshape(n, pairs).sum(axis=0).reshape(len(chunk), -1).max(axis=1)
             for i, v in zip(chunk, np.sqrt(dist).tolist()):
                 out[i] = v
     return out
@@ -324,7 +299,7 @@ class PerturbationResult:
     t: float
     before: ArgminSet  # of f
     after: ArgminSet  # of the returned functional f*
-    tested_t: tuple[float, ...] = field(repr=False, default=())
+    tested_t: tuple[float, ...] = field(repr=False)
 
 
 def shrink_argmin(f: Functional, body: ConvexBody, eps: float, delta: float,

@@ -141,7 +141,7 @@ class SolveResult:
     action: float
     length: float
     stop: str  # "gradient" (converged), "stall" or "max_iters"
-    action_history: list = field(default_factory=list, repr=False)
+    action_history: list = field(repr=False)
 
 
 def _rows(a: np.ndarray) -> np.ndarray:
@@ -411,8 +411,9 @@ def _spread_links(loops: list[DiscreteLoop], tol: float) -> tuple[float, np.ndar
     2. Each other pair (i, j) gets lb = max_p |d_pi - d_pj| - eps and
        ub = min_p (d_pi + d_pj) + eps, with eps = `_BOUND_SLACK`.
     3. A pair is computed exactly when its link is undecided (lb <= tol < ub)
-       or when it could hold the maximum (ub >= the largest distance computed
-       so far). Every other pair is linked iff ub <= tol.
+       or when it could reach the largest pivot distance (ub >= top); all
+       such pairs are computed in one batch. Every other pair is linked iff
+       ub <= tol.
 
     eps covers rounding. Let u = 2^-53, the unit roundoff. Coordinates lie in
     [0, 1], so each coordinate gap of `_pair_distances` is within u of the
@@ -423,9 +424,9 @@ def _spread_links(loops: list[DiscreteLoop], tol: float) -> tuple[float, np.ndar
     and the bounds' own difference or sum and the shift by eps add at most
     3u. So lb < d_ij < ub holds for the computed d_ij, with eps - 12u to
     spare. Hence a pruned pair's link is that of its computed distance, a
-    pair left out of the maximum computes below a computed distance, and the
-    spread is the full table's maximum, bit for bit. In the worst case every
-    pair is computed.
+    pair left out of the maximum computes below top, and the spread is the
+    full table's maximum, bit for bit. In the worst case every pair is
+    computed.
     """
     pts = np.mod(np.stack([lp.vertices for lp in loops]), 1.0)
     m = len(loops)
@@ -453,15 +454,10 @@ def _spread_links(loops: list[DiscreteLoop], tol: float) -> tuple[float, np.ndar
     ub = (rows[:, i] + rows[:, j]).min(axis=0) + _BOUND_SLACK
     undecided = (lb <= tol) & (tol < ub)
     near[i, j] = near[j, i] = ub <= tol
-    todo = undecided | (ub >= top)
-    while todo.any():
-        k = np.flatnonzero(todo)[:_DISTANCE_BLOCK]
-        d = _pair_distances(pts, i[k], j[k])
-        near[i[k], j[k]] = near[j[k], i[k]] = d <= tol
-        top = max(top, float(d.max()))
-        todo[k] = False
-        todo &= undecided | (ub >= top)
-    return top, near
+    k = np.flatnonzero(undecided | (ub >= top))
+    d = _pair_distances(pts, i[k], j[k])
+    near[i[k], j[k]] = near[j[k], i[k]] = d <= tol
+    return max(top, float(d.max(initial=0.0))), near
 
 
 @dataclass(frozen=True)
@@ -536,9 +532,10 @@ def minimizer_set(metric: FinslerMetric, winding: tuple[int, int],
     `_spread_links`. Exact distance rows of up to `_PIVOTS` farthest-first
     pivots bound every other pair by the triangle inequality, widened by
     `_BOUND_SLACK` (1e-12) past the rounding of a computed distance (at most
-    3 * 2^-53 off the exact one); a pair is computed only when its bounds
-    leave its link undecided or let it hold the maximum. The spread and
-    every link are those of the full `loop_distance` table, bit for bit.
+    3 * 2^-53 off the exact one); a pair is computed, in one batch with the
+    others, only when its bounds leave its link undecided or let it reach the
+    largest pivot distance. The spread and every link are those of the full
+    `loop_distance` table, bit for bit.
     """
     require_nontrivial(winding)
     solved = _descend(metric, winding, config, _starts(winding, config))

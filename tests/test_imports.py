@@ -97,6 +97,14 @@ def test_no_module_calls_speed_sq_grads():
     assert found == []
 
 
+def _defaulted(value) -> bool:
+    """Whether a dataclass field's value gives it a default: a `field(...)` only with
+    `default=` or `default_factory=`."""
+    if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field":
+        return any(k.arg in ("default", "default_factory") for k in value.keywords)
+    return value is not None
+
+
 def settable_values(source: str) -> int:
     """Defaulted parameters plus defaulted fields of `@dataclass` classes in `source`.
 
@@ -109,20 +117,22 @@ def settable_values(source: str) -> int:
         elif isinstance(node, ast.ClassDef) and any(
                 getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
                 for d in node.decorator_list):
-            count += sum(isinstance(s, ast.AnnAssign) and s.value is not None for s in node.body)
+            count += sum(isinstance(s, ast.AnnAssign) and _defaulted(s.value) for s in node.body)
     return count
 
 
 def test_settable_values_counted():
-    source = ("from dataclasses import dataclass\n"
+    source = ("from dataclasses import dataclass, field\n"
               "def f(a, b=1, *, c, d=2):\n    return lambda x=0: x\n"
-              "@dataclass(frozen=True)\nclass C:\n    x: int\n    y: int = 0\n"
+              "@dataclass(frozen=True)\nclass C:\n    x: int\n    u: list = field(repr=False)\n"
+              "    y: int = 0\n    v: list = field(default_factory=list)\n"
+              "    w: int = field(repr=False, default=0)\n"
               "class D:\n    z: int = 0\n")
-    assert settable_values(source) == 4
+    assert settable_values(source) == 6
 
 
 def test_settable_value_count_is_pinned():
     # adding or removing a knob changes this number in the same diff
     package = ROOT / "src" / "torusgeo"
     assert sum(settable_values(path.read_text(encoding="utf-8"))
-               for path in sorted(package.glob("*.py"))) == 29
+               for path in sorted(package.glob("*.py"))) == 26

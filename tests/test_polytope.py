@@ -182,15 +182,20 @@ def test_bruteforce_oracle_equals_numpy_scalar_scan():
 # -- diameters ------------------------------------------------------------------
 
 def pairwise_diameter(p):
-    """The diameter formula `_diameters` reproduces, one point set at a time."""
-    return float(np.sqrt(((p[:, None] - p[None]) ** 2).sum(-1).max()))
+    """The diameter formula `_diameters` reproduces, one point set at a time: the root
+    of the largest sum of a pair's squared coordinate differences, added in order."""
+    sq = (p[:, None] - p[None]) ** 2
+    total = sq[..., 0]
+    for c in range(1, p.shape[1]):
+        total = total + sq[..., c]
+    return float(np.sqrt(total.max()))
 
 
 def test_diameters_are_the_pairwise_formula_bit_for_bit():
-    # every n from 1 to 20 (below 8 columns in order, from 8 on the accumulator
-    # tree and its remainder), n around and past 128 (the split in halves),
-    # every k from 1 to 45, duplicate vertices, shapes repeated past one stack
-    # of `_DIAMETER_CHUNK` squared differences
+    # every n from 1 to 20 and n around and past 128 (the sizes where numpy's
+    # own pairwise sum of n terms differs from the in-order one), every k from
+    # 1 to 45, duplicate vertices, shapes repeated past one stack of
+    # `_DIAMETER_CHUNK` squared differences
     rng = np.random.default_rng(23)
     sets = []
     for n in range(1, 21):
@@ -505,6 +510,26 @@ def test_shrink_batch_rows_cover_redraws_halvings_and_errors():
 def test_shrink_batch_equals_each_row_alone_hypothesis(specs, data):
     rows = [batch_row(kind, seed) for kind, seed in specs]
     assert_batch_is_each_row_alone(rows, data.draw(st.permutations(range(len(rows)))))
+
+
+def test_shrink_batch_exhausted_schedule_is_an_error(monkeypatch):
+    # g = f = (0, 1) on the square keeps the bottom edge (diameter 1 > eps) active
+    # at every t without violating either inequality, so the schedule runs out
+    ordinary = batch_row(1, 3)
+    want = entry_bits(alone(ordinary))
+
+    def expose(bodies, eps, seeds, _real=polytope._expose):
+        out = _real(bodies, eps, seeds)
+        g = Functional((0.0, 1.0))
+        out[1] = (g, argmin_set(g, bodies[1]))
+        return out
+
+    monkeypatch.setattr(polytope, "_expose", expose)
+    rows = [ordinary, (Functional((0.0, 1.0)), SQUARE, 0.1, 0.5, 0)]
+    got, stuck = polytope.shrink_argmin_batch(*[list(col) for col in zip(*rows)])
+    assert entry_bits(got) == want
+    assert isinstance(stuck, PerturbationFailureError)
+    assert str(stuck) == "schedule of 60 halvings exhausted without shrinking the argmin"
 
 
 def test_shrink_batch_rejects_mismatched_or_nonpositive_rows():

@@ -286,6 +286,29 @@ def test_stalled_quasi_newton_step_retries_with_a_plain_step(monkeypatch):
     assert all(a2 <= a1 + 1e-12 for a1, a2 in zip(hist, hist[1:]))
 
 
+def test_non_descent_direction_falls_back_to_a_plain_step(monkeypatch):
+    # every direction built from stored pairs points uphill; the step takes the
+    # plain direction instead, so the start converges at about one evaluation
+    # per iteration rather than backtracking each line search to its end
+    from torusgeo import solver
+    calls = []
+
+    def direction(g, live, mem_s, mem_y, rho, gamma, symbol, _real=solver._lbfgs_direction):
+        d = _real(g, live, mem_s, mem_y, rho, gamma, symbol)
+        d[rho[live, 0] > 0.0] *= -1.0
+        return d
+
+    def evaluate(*args, _real=solver._evaluate):
+        calls.append(1)
+        return _real(*args)
+
+    monkeypatch.setattr(solver, "_lbfgs_direction", direction)
+    monkeypatch.setattr(solver, "_evaluate", evaluate)
+    res = shortest_loop(euclidean(), (1, 0), SolverConfig(n_vertices=32, seed=0))
+    assert res.converged and res.stop == "gradient"
+    assert len(calls) <= 2 * res.iterations
+
+
 def test_non_finite_trial_step_raises():
     cfg = SolverConfig(n_vertices=32, num_starts=3, seed=1)
     with pytest.raises(MalformedLoopError):
