@@ -10,7 +10,6 @@ import dataclasses
 import datetime
 import json
 import math
-import operator
 import os
 
 import numpy as np
@@ -73,6 +72,13 @@ def _count(cfg: dict, key: str, default: int) -> int:
     return n
 
 
+def _positive(cfg: dict, key: str, default: float) -> float:
+    v = get_float(cfg, key, default)
+    if not v > 0:
+        raise ConfigError(f"key {key!r}: expected a positive number, got {v}")
+    return v
+
+
 def _solver_config(cfg: dict, seed: int) -> SolverConfig:
     """The `solver.` keys of a single descent; `uniqueness` adds the multi-start keys."""
     return SolverConfig(
@@ -130,11 +136,12 @@ def random_loop(rng: np.random.Generator, n_min: int = 8, n_max: int = 48,
         p, q = int(rng.integers(-3, 4)), int(rng.integers(-3, 4))
         if (p, q) != (0, 0):
             break
-    base = DiscreteLoop.straight((p, q), n, offset=rng.random(2))
+    # the straight lift of `DiscreteLoop.straight`, translated by a random offset
+    verts = rng.random(2) + np.arange(n)[:, None] / n * np.asarray((p, q), float)
     # jitter scales with the segment length: the sampled curve stays
     # piecewise-C^1-like instead of doubling back between vertices
     amp = rng.uniform(0.0, jitter) * np.hypot(p, q) / n
-    verts = base.vertices + rng.uniform(-amp, amp, size=(n, 2))
+    verts += rng.uniform(-amp, amp, size=(n, 2))
     return DiscreteLoop(verts, (p, q))
 
 
@@ -145,23 +152,43 @@ _BODY_VERTICES_MAX = 40
 def random_body(rng: np.random.Generator) -> ConvexBody:
     n = int(rng.integers(2, _BODY_DIM_MAX + 1))
     k = int(rng.integers(n + 1, _BODY_VERTICES_MAX + 1))
-    return ConvexBody(rng.standard_normal((k, n)))
+    return ConvexBody._of(rng.standard_normal((k, n)))
 
 
-def _argmin_bruteforce(f: Functional, body: ConvexBody, tol: float = 1e-9):
-    """Independent oracle: plain-Python scan over the vertex list.
+def _argmin_bruteforce(fs: list, bodies: list, tol: float = 1e-9) -> list:
+    """Independent oracle: (m, active) of each functional fs[i] over bodies[i], one block.
 
-    The coefficients and vertices are read out with `.tolist()` as Python
-    floats, so the scan does no numpy arithmetic: each product and the
-    left-to-right sum are the same IEEE operations as on numpy scalars
-    (Python 3.11's `sum` adds floats in order), without numpy's per-scalar
-    overhead.
+    The block's vertices and coefficients are zero-padded to a common vertex
+    count and dimension, multiplied elementwise, and each vertex's products
+    are added column by column in coordinate order, (c_0 x_0 + c_1 x_1) +
+    c_2 x_2 + ...: the IEEE operations of a left-to-right scalar scan, with no
+    matrix product and no call into the polytope code. A padded coordinate
+    adds 0.0, which can only turn a -0.0 sum into +0.0; the padded vertices are
+    set to +inf after the sum, so none is the minimum.
     """
-    coefficients = f.coefficients.tolist()
-    vals = [sum(map(operator.mul, coefficients, v)) for v in body.vertices.tolist()]
-    m = min(vals)
-    active = [i for i, v in enumerate(vals) if v <= m + tol * (1.0 + abs(m))]
-    return m, tuple(active)
+    if not fs:
+        return []
+    k = [len(b.vertices) for b in bodies]
+    n = [len(f.coefficients) for f in fs]
+    # coordinate-major, so each column the sum adds is contiguous
+    products = np.zeros((max(n), len(bodies), max(k)))  # the vertices, then c_j * x_j
+    coefficients = np.zeros((max(n), len(fs)))
+    for i, (f, body) in enumerate(zip(fs, bodies)):
+        products[:n[i], i, :k[i]] = body.vertices.T
+        coefficients[:n[i], i] = f.coefficients
+    products *= coefficients[:, :, None]
+    vals = products[0]
+    for column in products[1:]:
+        vals += column
+    vals[np.arange(max(k)) >= np.array(k)[:, None]] = np.inf
+    m = vals.min(axis=1)
+    mask = vals <= (m + tol * (1.0 + np.abs(m)))[:, None]
+    cols = np.nonzero(mask)[1].tolist()
+    out, end = [], 0
+    for mi, count in zip(m.tolist(), mask.sum(axis=1).tolist()):
+        out.append((mi, tuple(cols[end:end + count])))
+        end += count
+    return out
 
 
 # -- experiments --------------------------------------------------------------
@@ -282,8 +309,8 @@ _MANE_BLOCK = 100  # trials drawn and solved as one batch
 
 def run_mane_polytope(cfg: dict, seed: int):
     trials = _count(cfg, "trials", 100)
-    delta = get_float(cfg, "delta", 0.1)
-    eps_rel = get_float(cfg, "eps_rel", 1e-3)
+    delta = _positive(cfg, "delta", 0.1)
+    eps_rel = _positive(cfg, "eps_rel", 1e-3)
     rng = np.random.default_rng(seed)
     records = []
     oracle_ok = True
@@ -303,7 +330,8 @@ def _mane_block(rng: np.random.Generator, trials: range, delta: float, eps_rel: 
     """The records of one block of `mane-polytope` trials, and whether the oracle agreed on each.
 
     Each trial draws its body, then the seed of its exposing draws, and the
-    block is solved as one `shrink_argmin_batch`.
+    block is solved as one `shrink_argmin_batch` and checked by one
+    `_argmin_bruteforce` call over its solved trials.
     """
     bodies, seeds = [], []
     for _ in trials:
@@ -312,6 +340,9 @@ def _mane_block(rng: np.random.Generator, trials: range, delta: float, eps_rel: 
     eps = [eps_rel * d for d in _body_diameters(bodies)]
     fs = [Functional.zero(body.dimension) for body in bodies]
     results = shrink_argmin_batch(fs, bodies, eps, [delta] * len(bodies), seeds)
+    solved = [j for j, res in enumerate(results) if not isinstance(res, Exception)]
+    brute = dict(zip(solved, _argmin_bruteforce([results[j].functional for j in solved],
+                                                [bodies[j] for j in solved])))
     records = []
     oracle_ok = True
     for j, (trial, body, f, e) in enumerate(zip(trials, bodies, fs, eps)):
@@ -324,7 +355,7 @@ def _mane_block(rng: np.random.Generator, trials: range, delta: float, eps_rel: 
             continue
         if isinstance(res, Exception):
             raise res
-        m_brute, active_brute = _argmin_bruteforce(res.functional, body)
+        m_brute, active_brute = brute[j]
         if res.after.active_indices != active_brute or abs(res.after.value - m_brute) > 1e-12 * (1 + abs(m_brute)):
             oracle_ok = False
         shift = _norm(res.functional.coefficients - f.coefficients)
@@ -339,6 +370,8 @@ def _mane_block(rng: np.random.Generator, trials: range, delta: float, eps_rel: 
 def run_consistency(cfg: dict, seed: int):
     trials = _count(cfg, "trials", 100)
     resolution = get_int(cfg, "resolution", 256)
+    if resolution < 8:  # the grid `pushforward` accepts
+        raise ConfigError(f"key 'resolution': expected an integer >= 8, got {resolution}")
     rng = np.random.default_rng(seed)
     records = []
     gap_ok = mass_ok = const_ok = True
@@ -472,11 +505,13 @@ def run(cfg: dict, out_path: str) -> int:
     if unread:
         raise ConfigError(f"keys not read by experiment {experiment!r}: {', '.join(unread)}")
     passed = all(checks.values())
+    # the bits of json.dumps(..., sort_keys=True), from one encoder instead of one per line
+    encode = json.JSONEncoder(sort_keys=True).encode
     lines = [json.dumps({"timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat()}),
-             json.dumps({"config": dict(sorted(cfg.items()))}, sort_keys=True)]
-    lines += [json.dumps(r, sort_keys=True) for r in records]
-    lines.append(json.dumps({"summary": {"experiment": experiment, "checks": checks,
-                                         "pass": passed}}, sort_keys=True))
+             encode({"config": dict(sorted(cfg.items()))})]
+    lines += map(encode, records)
+    lines.append(encode({"summary": {"experiment": experiment, "checks": checks,
+                                     "pass": passed}}))
     os.makedirs(os.path.dirname(os.path.abspath(out_path)), exist_ok=True)
     with open(out_path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -81,6 +81,14 @@ class ConvexBody:
         v.setflags(write=False)
         self.vertices = v
 
+    @classmethod
+    def _of(cls, v: np.ndarray) -> "ConvexBody":
+        """The body of vertices v, a finite (k, n) array handed over: not copied or checked."""
+        body = cls.__new__(cls)
+        v.setflags(write=False)
+        body.vertices = v
+        return body
+
     @property
     def dimension(self) -> int:
         return self.vertices.shape[1]

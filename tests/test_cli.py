@@ -1,4 +1,5 @@
 """Config parsing and the CLI runner."""
+import dataclasses
 import json
 import re
 import warnings
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from torusgeo import DiscreteLoop
+from torusgeo import ConvexBody, DiscreteLoop
 from torusgeo.cli import main
 from torusgeo.config import get_float, get_floats, get_int, get_pair, parse_config
 from torusgeo.errors import ConfigError
@@ -177,6 +178,23 @@ def test_run_semicontinuity_tail_outside_scales_exits_2(tmp_path, capsys, settin
     err = capsys.readouterr().err
     assert err.startswith("torusgeo: error: key ") and err.count("\n") == 1
     assert setting.split()[0] in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("experiment = consistency\nresolution = 0\n",
+     "key 'resolution': expected an integer >= 8, got 0"),
+    ("experiment = mane-polytope\ndelta = -1\n",
+     "key 'delta': expected a positive number, got -1.0"),
+    ("experiment = mane-polytope\neps_rel = 0\n",
+     "key 'eps_rel': expected a positive number, got 0.0"),
+], ids=["resolution", "delta", "eps_rel"])
+def test_run_out_of_range_value_exits_2(tmp_path, capsys, text, message):
+    # rejected as the config is read, before any trial is drawn
+    cfg = write(tmp_path, "bad.cfg", text)
+    out = tmp_path / "bad.jsonl"
+    assert main(["run", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"torusgeo: error: {message}\n"
     assert not out.exists()
 
 
@@ -404,6 +422,60 @@ def test_mane_polytope_reads_the_argmin_sets_shrink_argmin_computed(monkeypatch)
         assert all(inside for inside, _ in blocks)  # every argmin set is the batch's own
         # per batch: f's argmin sets, one round of exposing draws and one tested step
         assert [n for _, n in blocks] == [n for n in sizes for _ in range(3)]
+
+
+@pytest.mark.parametrize("wrong", [False, True])
+def test_mane_polytope_oracle_flags_a_wrong_active_set(monkeypatch, wrong):
+    from torusgeo import experiments
+    from torusgeo.errors import PerturbationFailureError
+
+    def shrink(*args, _real=experiments.shrink_argmin_batch):
+        out = _real(*args)
+        out[3] = PerturbationFailureError("injected")  # has no functional: skipped, not compared
+        if wrong:
+            after = out[5].after
+            extra = min(set(range(len(after.values))) - set(after.active_indices))
+            out[5] = dataclasses.replace(out[5], after=dataclasses.replace(
+                after, active_indices=after.active_indices + (extra,)))
+        return out
+
+    monkeypatch.setattr(experiments, "shrink_argmin_batch", shrink)
+    records, checks = experiments.run_mane_polytope({"trials": "10"}, 2)
+    assert checks == {"all_trials_succeed": False, "argmin_matches_bruteforce": not wrong}
+    assert records[3] == {"kind": "mane-polytope", "trial": 3, "success": False,
+                          "error": "injected"}
+    assert all(r["success"] for i, r in enumerate(records) if i != 3)
+
+
+def test_input_draws_keep_their_order_and_bits():
+    from torusgeo import experiments
+
+    def old_loop(rng, n_min, n_max, jitter):
+        # a straight loop, then its jittered copy: two constructions per loop
+        n = int(rng.integers(n_min, n_max + 1))
+        while True:
+            p, q = int(rng.integers(-3, 4)), int(rng.integers(-3, 4))
+            if (p, q) != (0, 0):
+                break
+        base = DiscreteLoop.straight((p, q), n, offset=rng.random(2))
+        amp = rng.uniform(0.0, jitter) * np.hypot(p, q) / n
+        return DiscreteLoop(base.vertices + rng.uniform(-amp, amp, size=(n, 2)), (p, q))
+
+    def old_body(rng):
+        n = int(rng.integers(2, 9))
+        return ConvexBody(rng.standard_normal((int(rng.integers(n + 1, 41)), n)))
+
+    def same(a, b):
+        return a.shape == b.shape and a.tobytes() == b.tobytes() and not a.flags.writeable
+
+    for seed in range(10):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for args in [(8, 48, 0.45), (16, 64, 0.15)]:
+            loop, old = experiments.random_loop(rng, *args), old_loop(ref, *args)
+            assert same(loop.vertices, old.vertices) and loop.winding == old.winding
+        for _ in range(3):
+            assert same(experiments.random_body(rng).vertices, old_body(ref).vertices)
+        assert rng.random() == ref.random()
 
 
 def test_speed_cap_lengths_exact_catches_a_long_loop(monkeypatch):

@@ -1,4 +1,8 @@
 """Argmin sets over polytopes, exposure draws, and the shrinking perturbation."""
+import ast
+import inspect
+import textwrap
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -139,12 +143,14 @@ def test_m_is_concave():
 def test_bruteforce_oracle_on_integer_polytopes():
     # exact comparisons at tolerance 0
     rng = np.random.default_rng(2)
+    fs, bodies = [], []
     for _ in range(30):
         n = int(rng.integers(2, 5))
-        body = ConvexBody(rng.integers(-3, 4, size=(int(rng.integers(3, 12)), n)).astype(float))
-        f = Functional(rng.integers(-2, 3, size=n).astype(float))
+        k = int(rng.integers(3, 12))
+        bodies.append(ConvexBody(rng.integers(-3, 4, size=(k, n)).astype(float)))
+        fs.append(Functional(rng.integers(-2, 3, size=n).astype(float)))
+    for f, body, (m, active) in zip(fs, bodies, _argmin_bruteforce(fs, bodies, tol=0.0)):
         a = argmin_set(f, body, tol=0.0)
-        m, active = _argmin_bruteforce(f, body, tol=0.0)
         assert a.value == m
         assert a.active_indices == active
 
@@ -159,6 +165,7 @@ def _numpy_scalar_scan(f, body, tol=1e-9):
 
 def test_bruteforce_oracle_equals_numpy_scalar_scan():
     rng = np.random.default_rng(11)
+    fs, bodies = [], []
     for trial in range(200):
         body = random_body(rng)
         size = 10.0 ** rng.uniform(-3.0, 3.0)
@@ -172,11 +179,65 @@ def test_bruteforce_oracle_equals_numpy_scalar_scan():
             step = f.coefficients / float(f.coefficients @ f.coefficients)
             extra = [x0 + c * 1e-9 * (1.0 + abs(m)) * step for c in (0.0, 0.5, 0.999, 1.001, 1.5)]
             body = ConvexBody(np.vstack([body.vertices, extra]))
-        m, active = _argmin_bruteforce(f, body)
+        fs.append(f)
+        bodies.append(body)
+    # one block of mixed dimensions and vertex counts
+    for f, body, (m, active) in zip(fs, bodies, _argmin_bruteforce(fs, bodies)):
         m_ref, active_ref = _numpy_scalar_scan(f, body)
         assert type(m) is float
         assert m == m_ref
         assert active == active_ref
+
+
+def _in_order_scan(f, body, tol):
+    """m and the active vertices of f over the body, each value summed left to right."""
+    vals = []
+    for v in body.vertices.tolist():
+        acc = 0.0
+        for c, x in zip(f.coefficients.tolist(), v):
+            acc += c * x
+        vals.append(acc)
+    m = min(vals)
+    return m, tuple(i for i, v in enumerate(vals) if v <= m + tol * (1.0 + abs(m)))
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-9])
+def test_bruteforce_block_is_the_in_order_scan(tol):
+    rng = np.random.default_rng(12)
+    fs, bodies = [], []
+    for n in range(2, 9):
+        for k in (n + 1, 40):
+            bodies.append(ConvexBody(rng.standard_normal((k, n))))
+            fs.append(Functional(rng.standard_normal(n)))
+    # tied vertices under a -0.0 coefficient: three share the minimum 1.0,
+    # and the sum of the second body's first vertex is -0.0 in order
+    bodies += [ConvexBody([[0.0, 1.0, 2.0], [1.0, 0.0, 2.0], [0.0, 1.0, 2.0], [3.0, 3.0, 3.0]]),
+               ConvexBody([[1.0, -0.0], [2.0, 1.0], [-1.0, 4.0]])]
+    fs += [Functional([1.0, 1.0, -0.0]), Functional([-0.0, 1.0])]
+    block = _argmin_bruteforce(fs, bodies, tol)
+    assert len(block) == len(bodies)
+    for f, body, (m, active) in zip(fs, bodies, block):
+        m_ref, active_ref = _in_order_scan(f, body, tol)
+        assert type(m) is float and m == m_ref
+        assert active == active_ref and all(type(i) is int for i in active)
+    assert block[-2][1] == (0, 1, 2)
+    assert block[-1] == (-0.0, (0,))
+    assert _argmin_bruteforce([], []) == []
+
+
+def test_bruteforce_oracle_is_independent_of_the_engine():
+    # no matrix product, and no name the experiments module imports from polytope
+    from torusgeo import experiments
+    tree = ast.parse(textwrap.dedent(inspect.getsource(_argmin_bruteforce)))
+    imported = {a.asname or a.name for node in ast.walk(ast.parse(inspect.getsource(experiments)))
+                if isinstance(node, ast.ImportFrom) and node.module == "polytope"
+                for a in node.names}
+    assert not any(isinstance(node, ast.MatMult) for node in ast.walk(tree))
+    called = {getattr(node.func, "attr", getattr(node.func, "id", None))
+              for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    assert not called & {"dot", "matmul", "einsum", "inner", "tensordot"}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert imported and not read & imported
 
 
 # -- diameters ------------------------------------------------------------------
