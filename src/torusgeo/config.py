@@ -57,9 +57,3 @@ def get_floats(cfg: dict, key: str, default) -> list[float]:
         raise ConfigError(f"key {key!r}: expected finite numbers, got {cfg[key]!r}")
     return vals
 
-
-def get_pair(cfg: dict, key: str, default) -> tuple[int, int]:
-    vals = get_floats(cfg, key, default)
-    if len(vals) != 2 or any(v != int(v) for v in vals):
-        raise ConfigError(f"key {key!r}: expected an integer pair")
-    return int(vals[0]), int(vals[1])

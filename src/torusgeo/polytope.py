@@ -19,7 +19,6 @@ from .errors import ExposureFailureError, InputDomainError, PerturbationFailureE
 DEFAULT_TOL = 1e-9
 _EXPOSING_DRAWS = 64
 _HALVINGS = 60
-_DIAMETER_CHUNK = 2 ** 16  # squared coordinate differences stacked at once by `_diameters`
 
 
 def _norm(c: np.ndarray) -> float:
@@ -27,46 +26,22 @@ def _norm(c: np.ndarray) -> float:
     return math.sqrt(float(c @ c))
 
 
-def _diameters(point_sets) -> list[float]:
-    """Largest pairwise distance of the rows of each (k, n) point set.
+def _diameter(pts: np.ndarray) -> float:
+    """Largest pairwise distance of the rows of a (k, n) point set.
 
-    Each is bitwise the root of the largest in-order sum of a pair's squared
-    coordinate differences, (dx_0^2 + dx_1^2) + dx_2^2 + ... Point sets of one
-    exact shape are stacked, and numpy adds the n coordinate rows of a stack
-    one after another (a stack of one pair is a one-point set, whose terms
-    are all 0). The root is taken after the max, which it commutes with (it
-    is correctly rounded and monotone).
+    Bitwise the root of the largest in-order sum of a pair's squared
+    coordinate differences, (dx_0^2 + dx_1^2) + dx_2^2 + ...: the differences
+    go into a fresh C-ordered (n, k, k) array, whose n coordinate rows numpy
+    adds one after another. The `out=` is needed: without it numpy lays the
+    differences out along the transposed strides, and their sum takes another
+    order (other last bits) and about twice the time. The root is taken after
+    the max, which it commutes with (it is correctly rounded and monotone).
     """
-    out = [0.0] * len(point_sets)
-    groups = {}
-    for i, pts in enumerate(point_sets):
-        groups.setdefault(pts.shape, []).append(i)
-    # stacks of at most `_DIAMETER_CHUNK` squared differences (a larger set alone)
-    steps = {(k, n): max(1, _DIAMETER_CHUNK // max(1, n * k * k)) for k, n in groups}
-    # one buffer for the squared differences of every stack
-    buf = np.empty(max([0] + [n * k * k * min(len(rows), steps[k, n])
-                              for (k, n), rows in groups.items()]))
-    for (k, n), rows in groups.items():
-        step = steps[k, n]
-        for lo in range(0, len(rows), step):
-            chunk = rows[lo:lo + step]
-            cols = np.array([point_sets[i] for i in chunk]).transpose(2, 0, 1)  # (n, G, k)
-            pairs = len(chunk) * k * k
-            sq = buf[:n * pairs].reshape(n, len(chunk), k, k)
-            np.subtract(cols[:, :, :, None], cols[:, :, None, :], out=sq)
-            sq *= sq
-            dist = sq.reshape(n, pairs).sum(axis=0).reshape(len(chunk), -1).max(axis=1)
-            for i, v in zip(chunk, np.sqrt(dist).tolist()):
-                out[i] = v
-    return out
-
-
-def _body_diameters(bodies) -> list[float]:
-    """The bodies' diameters; the ones not yet cached come from one `_diameters` call."""
-    todo = list({id(b): b for b in bodies if "diameter" not in vars(b)}.values())
-    for body, d in zip(todo, _diameters([b.vertices for b in todo])):
-        body.diameter = d  # fills the cached property
-    return [b.diameter for b in bodies]
+    k, n = pts.shape
+    cols = pts.T
+    sq = np.subtract(cols[:, :, None], cols[:, None, :], out=np.empty((n, k, k)))
+    sq *= sq
+    return math.sqrt(float(sq.reshape(n, -1).sum(axis=0).max()))
 
 
 class ConvexBody:
@@ -96,7 +71,7 @@ class ConvexBody:
     @functools.cached_property
     def diameter(self) -> float:
         """Largest pairwise vertex distance, computed once (the vertices are read-only)."""
-        return _diameters([self.vertices])[0]
+        return _diameter(self.vertices)
 
     def __repr__(self):
         return f"ConvexBody({len(self.vertices)} vertices in R^{self.dimension})"
@@ -171,9 +146,10 @@ def _argmin_sets(vals: list, bodies: list, tol: float) -> list[ArgminSet]:
     """The argmin sets of the vertex values vals[i] over bodies[i], as one block.
 
     Min, active mask and active count run on the values padded with +inf past
-    each row's vertex count. A set of one vertex has diameter 0, a set of
-    every vertex its body's cached diameter (`_body_diameters`), and the
-    other sets' diameters come from one `_diameters` call.
+    each row's vertex count. A row whose minimum is not finite (its values
+    overflowed) is an InputDomainError. A set of one vertex has diameter 0, a
+    set of every vertex its body's cached diameter, and any other set its own
+    `_diameter`.
     """
     if not vals:
         return []
@@ -181,6 +157,10 @@ def _argmin_sets(vals: list, bodies: list, tol: float) -> list[ArgminSet]:
     block = np.full((len(vals), max(k)), np.inf)
     block[np.arange(max(k)) < np.array(k)[:, None]] = np.concatenate(vals)
     m = block.min(axis=1)
+    if not np.isfinite(m).all():
+        i = int(np.argmin(np.isfinite(m)))  # the first row at fault
+        raise InputDomainError(f"row {i}: the minimum over the vertices is {m[i]}: "
+                               f"the functional's vertex values overflow")
     mask = block <= (m + tol * (1.0 + np.abs(m)))[:, None]
     count = mask.sum(axis=1).tolist()
     cols = np.nonzero(mask)[1].tolist()
@@ -188,13 +168,8 @@ def _argmin_sets(vals: list, bodies: list, tol: float) -> list[ArgminSet]:
     for c in count:
         active.append(tuple(cols[end:end + c]))
         end += c
-    diam = [0.0] * len(vals)
-    full = [i for i, c in enumerate(count) if 1 < c == k[i]]
-    for i, d in zip(full, _body_diameters([bodies[i] for i in full])):
-        diam[i] = d
-    part = [i for i, c in enumerate(count) if 1 < c < k[i]]
-    for i, d in zip(part, _diameters([bodies[i].vertices[list(active[i])] for i in part])):
-        diam[i] = d
+    diam = [0.0 if c < 2 else bodies[i].diameter if c == k[i]
+            else _diameter(bodies[i].vertices[list(active[i])]) for i, c in enumerate(count)]
     for v in vals:
         v.setflags(write=False)
     return [ArgminSet(value=mi, active_indices=a, diameter=d, values=v)

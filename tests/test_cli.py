@@ -10,7 +10,7 @@ import pytest
 
 from torusgeo import ConvexBody, DiscreteLoop
 from torusgeo.cli import main
-from torusgeo.config import get_float, get_floats, get_int, get_pair, parse_config
+from torusgeo.config import get_float, get_floats, get_int, parse_config
 from torusgeo.errors import ConfigError
 
 
@@ -27,14 +27,12 @@ def test_parse_rejects_bare_line():
 
 
 def test_typed_getters():
-    cfg = {"x": "2.5", "n": "3", "pair": "1,-2"}
+    cfg = {"x": "2.5", "n": "3"}
     assert get_float(cfg, "x", 0.0) == 2.5
     assert get_int(cfg, "n", 0) == 3
-    assert get_pair(cfg, "pair", (0, 0)) == (1, -2)
     assert get_float(cfg, "missing", 7.0) == 7.0
     assert get_int(cfg, "missing", 4) == 4
     assert get_floats(cfg, "missing", (1.0, 2.0)) == [1.0, 2.0]
-    assert get_pair(cfg, "missing", (1, 0)) == (1, 0)
     with pytest.raises(ConfigError):
         get_int(cfg, "x", 0)
 
@@ -236,8 +234,11 @@ def test_integer_keys_exact_past_2_pow_53(tmp_path):
     # the bump's trough is fixed at y = 0.25
     ("experiment = uniqueness\nt_values = 0.2\nsolver.num_starts = 2\nbump_center = 0.5\n", [],
      "'uniqueness': bump_center"),
+    # uniqueness runs the class (1,0) only: see `run_uniqueness`
+    ("experiment = uniqueness\nt_values = 0.2\nsolver.num_starts = 2\ngamma = 1\n", [],
+     "'uniqueness': gamma"),
 ], ids=["metric-keys-and-typo", "override-typo", "other-experiments-key",
-        "speed-cap-num-starts", "speed-cap-cluster-tol", "bump-center"])
+        "speed-cap-num-starts", "speed-cap-cluster-tol", "bump-center", "gamma"])
 def test_run_unread_key_exits_2(tmp_path, capsys, text, flags, unread):
     cfg = write(tmp_path, "unread.cfg", text)
     out = tmp_path / "unread.jsonl"
@@ -248,11 +249,10 @@ def test_run_unread_key_exits_2(tmp_path, capsys, text, flags, unread):
 
 @pytest.mark.parametrize("text, flags, message", [
     ("experiment = uniqueness\nt_values = 0.1,x\n", [], "key 't_values': not a number list"),
-    ("experiment = uniqueness\ngamma = 1\n", [], "key 'gamma': expected an integer pair"),
     ("experiment = uniqueness\nsolver.grad_tol = tiny\n", [],
      "key 'solver.grad_tol': not a number"),
     ("experiment = uniqueness\n", ["--override", "foo"], "--override expects KEY=VALUE"),
-], ids=["float-list", "pair", "float", "override"])
+], ids=["float-list", "float", "override"])
 def test_run_malformed_value_exits_2(tmp_path, capsys, text, flags, message):
     cfg = write(tmp_path, "bad.cfg", text)
     out = tmp_path / "bad.jsonl"

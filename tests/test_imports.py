@@ -136,3 +136,30 @@ def test_settable_value_count_is_pinned():
     package = ROOT / "src" / "torusgeo"
     assert sum(settable_values(path.read_text(encoding="utf-8"))
                for path in sorted(package.glob("*.py"))) == 26
+
+
+def private_imports(sources: dict[str, str]) -> set[tuple[str, str, str]]:
+    """(importing module, imported module, name) of each `_name` a module of `sources`
+    (file name -> source) imports from a sibling module with `from .module import`."""
+    found = set()
+    for label, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                found |= {(label.removesuffix(".py"), node.module, a.name)
+                          for a in node.names if a.name.startswith("_")}
+    return found
+
+
+def test_private_imports_detected():
+    sources = {"a.py": "from .b import _f, g\nfrom . import _h\nfrom c import _d\n",
+               "b.py": "from .a import _e as e\n"}
+    assert private_imports(sources) == {("a", "b", "_f"), ("b", "a", "_e")}
+
+
+def test_private_names_shared_across_modules_are_pinned():
+    # each module keeps its private helpers to itself, except the loop
+    # length and action kernels that the solver and experiments share
+    package = ROOT / "src" / "torusgeo"
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(package.glob("*.py"))}
+    assert private_imports(sources) == {(user, "loops", name) for user in ("solver", "experiments")
+                                        for name in ("_length_action", "_stacked_lengths")}

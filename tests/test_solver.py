@@ -379,6 +379,15 @@ def _lines(heights, phases=None):
     return [DiscreteLoop.straight((1, 0), 64, offset=(x, y)) for x, y in zip(phases, heights)]
 
 
+def _continuum_21():
+    """50 straight 64-vertex (2,1) lines at `_starts`' stratified offsets along
+    the class normal (seed 2), without its jitter: the flat (2,1) continuum."""
+    rng = np.random.default_rng(2)
+    normal = np.array([-1.0, 2.0]) / np.hypot(2, 1)
+    return [DiscreteLoop.straight((2, 1), 64, offset=((k + rng.random()) / 50) * normal)
+            for k in range(50)]
+
+
 def _wrap_loops():
     rng = np.random.default_rng(11)
     loops = [DiscreteLoop(DiscreteLoop.straight((2, 1), 16, offset=rng.uniform(-3, 3, 2)).vertices
@@ -410,6 +419,9 @@ _LOOP_SETS = {
     "heights": lambda: _lines(np.random.default_rng(3).random(50)),
     # the t > 0 shape: one line sampled at other phases
     "phases": lambda: _lines(np.full(50, 0.25), phases=np.random.default_rng(4).random(50) / 64),
+    # the class whose continuum leaves the most pairs open after the pivots:
+    # 346 computed pairs at tol 0.05, against 190-301 in a default uniqueness run
+    "continuum-21": _continuum_21,
     "identical": lambda: _lines(np.full(10, 0.3)),
     "one": lambda: _lines([0.3]),
     "two": lambda: _lines([0.3, 0.45]),
