@@ -383,9 +383,8 @@ def run_consistency(cfg: dict, seed: int):
         # the gap subtracts two sums of size up to sup|lambda| * a, so it carries
         # rounding even when Lip = 0 (a constant factor); Lip and sup|lambda|
         # are both certified from the coefficients
-        lam_sup = abs(factor.const) + sum(math.hypot(c, s) for c, s in factor.modes.values())
         bound = (factor.lipschitz_bound() * (np.sqrt(2.0) / resolution) * a
-                 + 1e-12 * (1.0 + lam_sup * a))
+                 + 1e-12 * (1.0 + factor.sup_bound() * a))
         cap = float(np.linalg.norm(loop.velocities, axis=1).max()) * (1 + 1e-12)
         grid = pushforward(metric, loop_measure(metric, loop, cap), resolution)
         gap = action_consistency(metric, factor, loop, grid)

@@ -10,6 +10,8 @@ Modes are kept in canonical form (kx > 0, or kx == 0 and ky > 0).
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import InputDomainError
@@ -131,6 +133,14 @@ class Fourier2D:
 
     def max_abs(self, n: int = 64) -> float:
         return float(np.abs(self.grid_values(n)).max())
+
+    def sup_bound(self) -> float:
+        """Certified sup |f| over the torus: |c| + sum_k sqrt(a^2 + b^2).
+
+        Mode k is a cos + b sin of one phase, at most sqrt(a^2 + b^2) in size,
+        so the sum bounds |f| everywhere.
+        """
+        return abs(self.const) + sum(math.hypot(a, b) for a, b in self.modes.values())
 
     def lipschitz_bound(self) -> float:
         """Certified sup |grad f| over the torus: 2 pi sum_k |k| sqrt(a^2 + b^2).

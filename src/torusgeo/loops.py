@@ -133,28 +133,26 @@ def segment_lengths(metric: FinslerMetric, loop: DiscreteLoop) -> np.ndarray:
 
 
 def _row_sums(a: np.ndarray, n) -> np.ndarray:
-    """Sums of the rows a[i, :n[i]] of a, shape (B, M), padded past each n[i].
+    """In-order sums (a_0 + a_1) + a_2 + ... of the first n entries of the rows of a.
 
-    Each sum is bitwise numpy's a[i, :n[i]].sum(): the rows of one N are one
-    numpy sum over their first N columns. When every row fills the width,
-    a.sum(axis=-1) is those sums.
+    One count n for every row of a, shape (..., M), or one per row, a of
+    shape (B, M) padded past each n[i]. One cumulative sum read at each
+    row's last entry: a row's bits depend on neither its padding nor its
+    batch, and equal the last knot of `_inversion_direction`'s cumsum.
     """
+    s = np.cumsum(a, axis=-1)
     n = np.asarray(n)
-    if np.all(n == a.shape[-1]):
-        return a.sum(axis=-1)
-    out = np.empty(len(a))
-    # a set, not np.unique: np.unique's first call in a process adds about 1 MiB of peak memory
-    for size in set(n.tolist()):
-        rows = n == size
-        out[rows] = a[rows, :size].sum(axis=-1)
-    return out
+    if n.ndim == 0:
+        return s[..., n - 1]
+    return s[np.arange(len(a)), n - 1]
 
 
 def _length_action(ell: np.ndarray, n) -> tuple:
     """Length sum(ell) and action N * sum(ell^2) of loops with N = n segment lengths ell.
 
     ell has shape (..., n), or holds padded rows, shape (B, M), row i the
-    n[i] lengths of one loop, then padding (`_row_sums`).
+    n[i] lengths of one loop, then padding. Both sums add in segment order
+    (`_row_sums`).
     This is the one formula for both: the action of the period-1
     parametrization, (1/N) sum F^2(m_i, N dx_i), is N sum F^2(m_i, dx_i) by
     homogeneity, so one evaluation of the segment lengths gives both.

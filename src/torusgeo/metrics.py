@@ -13,6 +13,7 @@ gradient 0.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +25,6 @@ _CERTIFY_GRIDS = tuple(16 * 2 ** i for i in range(7))  # n = 16, 32, ..., 1024
 _SEMINORM_GRID = 64
 _HESSIAN_STEP = 1e-4  # central-difference step of `fiber_hessian`, relative to |v|
 _CONVEXITY_TOL = 1e-6
-_COMPARISON_GRID = 32
 _COMPARISON_INFLATION = 1.01
 
 
@@ -34,20 +34,22 @@ def _as_series(c) -> Fourier2D:
     return Fourier2D(float(c))
 
 
-def _certify_positive(series: Fourier2D, error: type, what: str) -> None:
-    """Raise `error` unless `series` is certified positive on the whole torus.
+def _certify_positive(series: Fourier2D, error: type, what: str) -> float:
+    """A certified lower bound of `series` on the whole torus; raise `error` unless it is positive.
 
     Every point of T^2 lies within h/sqrt(2) of the n x n grid (h = 1/n), and
-    |grad f| <= Lip = `Fourier2D.lipschitz_bound()`, so a grid minimum above
-    Lip h/sqrt(2) certifies f > 0. The grids of `_CERTIFY_GRIDS` are tried in turn.
+    |grad f| <= Lip = `Fourier2D.lipschitz_bound()`, so f is at least its grid
+    minimum minus Lip h/sqrt(2), and a grid minimum above Lip h/sqrt(2)
+    certifies f > 0. The grids of `_CERTIFY_GRIDS` are tried in turn.
     """
     lip = series.lipschitz_bound()
     for n in _CERTIFY_GRIDS:
         m = float(on_grid((series,), n)[0].min())
         if m <= 0.0:
             raise error(f"{what} is not positive (min = {m:g} on the {n}x{n} grid)")
-        if m > lip / (n * np.sqrt(2.0)):
-            return
+        slack = lip / (n * np.sqrt(2.0))
+        if m > slack:
+            return m - slack
     raise error(f"{what} is uncertified: its minimum {m:g} on the {n}x{n} grid is "
                 f"within the Lipschitz bound {lip / (n * np.sqrt(2.0)):g} of 0")
 
@@ -91,6 +93,10 @@ class FinslerMetric:
         raise NotImplementedError
 
     def _kernel(self, vals: list, v: np.ndarray):
+        raise NotImplementedError
+
+    def _norm_bounds(self) -> tuple[float, float]:
+        """Certified lo, hi with lo |v| <= F(x, v) <= hi |v| everywhere, from the coefficients."""
         raise NotImplementedError
 
     def _build_passes(self) -> None:
@@ -144,8 +150,18 @@ class RiemannianMetric(FinslerMetric):
                               for i in (0, 1))
         self._build_passes()
         _certify_positive(self.g11, InvalidMetricError, "Riemannian g11")
-        _certify_positive(self.g11 * self.g22 - self.g12 * self.g12, InvalidMetricError,
-                          "Riemannian det g")
+        _certify_positive(self._det(), InvalidMetricError, "Riemannian det g")
+
+    def _det(self) -> Fourier2D:
+        return self.g11 * self.g22 - self.g12 * self.g12
+
+    def _norm_bounds(self):
+        # F^2 / |v|^2 lies between the eigenvalues of g: the larger is at most
+        # (g11 + g22)/2 + |((g11 - g22)/2, g12)|, the smaller is det g over it
+        top = (((self.g11 + self.g22) * 0.5).sup_bound()
+               + math.hypot(((self.g11 - self.g22) * 0.5).sup_bound(), self.g12.sup_bound()))
+        det = _certify_positive(self._det(), InvalidMetricError, "Riemannian det g")
+        return math.sqrt(det / top), math.sqrt(top)
 
     def _fields(self, grads):
         return (self.g11, self.g12, self.g22) + (self._dg if grads else ())
@@ -188,10 +204,25 @@ class RandersMetric(FinslerMetric):
         self._db_live = tuple(not (self._db[2 * i].vanishes() and self._db[2 * i + 1].vanishes())
                               for i in (0, 1))
         self._build_passes()
-        # given det g > 0: |beta|_{g*} < 1 iff det g > g22 bx^2 - 2 g12 bx by + g11 by^2
+        self._certify_margin()
+
+    def _certify_margin(self) -> float:
+        """The certified lower bound of det g (1 - |beta|_g*^2) on the torus, which must be positive.
+
+        Given det g > 0: |beta|_{g*} < 1 iff det g > g22 bx^2 - 2 g12 bx by + g11 by^2.
+        """
         (a, b, c), bx, by = self.riemannian._fields(False), self.beta_x, self.beta_y
-        _certify_positive(a * c - b * b - (c * bx * bx - 2.0 * b * bx * by + a * by * by),
-                          InvalidMetricError, "Randers margin det g (1 - |beta|_g*^2)")
+        return _certify_positive(a * c - b * b - (c * bx * bx - 2.0 * b * bx * by + a * by * by),
+                                 InvalidMetricError, "Randers margin det g (1 - |beta|_g*^2)")
+
+    def _norm_bounds(self):
+        lo, hi = self.riemannian._norm_bounds()
+        drift = math.hypot(self.beta_x.sup_bound(), self.beta_y.sup_bound())
+        # lo - |beta| is exact for a constant drift on |.|; for any drift,
+        # F >= |v|_g (1 - s) with s = |beta|_g*, 1 - s >= (1 - s^2) / 2 and
+        # 1 - s^2 = margin / det g, where det g <= hi^4
+        floor = lo * self._certify_margin() / (2.0 * hi ** 4)
+        return max(lo - drift, floor), hi + drift
 
     def _fields(self, grads):
         return (self.riemannian._fields(grads) + (self.beta_x, self.beta_y)
@@ -241,6 +272,11 @@ class ConformalMetric(FinslerMetric):
     def _fields(self, grads):
         own = (self.factor,) + (self._dlam if grads else ())
         return own + self.base._fields(grads)
+
+    def _norm_bounds(self):
+        lo, hi = self.base._norm_bounds()
+        low = _certify_positive(self.factor, NotAConformalFactorError, "factor")
+        return math.sqrt(low) * lo, math.sqrt(self.factor.sup_bound()) * hi
 
     def _speed(self, vals, v):
         return np.sqrt(vals[0]) * self.base._speed(vals[1:], v)
@@ -321,20 +357,17 @@ def verify_convexity(metric: FinslerMetric, sample_count: int, seed: int) -> Con
 
 
 def comparison_constant(metric: FinslerMetric) -> float:
-    """Smallest sampled c >= 1 with F/c <= |.| <= c*F, inflated by `_COMPARISON_INFLATION`.
+    """A certified c >= 1 with F/c <= |.| <= c*F, inflated by `_COMPARISON_INFLATION`.
 
-    F is sampled at `_COMPARISON_GRID`^2 points in as many unit directions; the
-    sampled sup underestimates the true sup, and the inflated constant only
-    needs to be valid, not tight. The preconditioner and the speed caps read it.
+    c is the larger of the metric's certified bounds hi and 1/lo on F/|v|
+    (`_norm_bounds`): sups from `Fourier2D.sup_bound`, infs from the
+    positivity certificates. It is computed on each call, never when a metric
+    is built. The preconditioner and the speed caps read it.
     """
-    pts = Fourier2D.grid(_COMPARISON_GRID).reshape(-1, 2)
-    th = np.arange(_COMPARISON_GRID) * 2.0 * np.pi / _COMPARISON_GRID
-    dirs = np.stack([np.cos(th), np.sin(th)], axis=-1)
-    f = metric.speed(pts[:, None, :], dirs[None, :, :])
-    if f.min() < 1e-9:
-        raise InvalidMetricError("metric is degenerate: F vanishes on a unit vector")
-    c = max(float(f.max()), float(1.0 / f.min()), 1.0)
-    return c * _COMPARISON_INFLATION
+    lo, hi = metric._norm_bounds()
+    if lo < 1e-9:
+        raise InvalidMetricError("metric is degenerate: F/|v| is not certified above 1e-9")
+    return max(hi, 1.0 / lo, 1.0) * _COMPARISON_INFLATION
 
 
 def seminorm_distance(f: Fourier2D, g: Fourier2D, k_max: int = 8) -> float:

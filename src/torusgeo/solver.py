@@ -19,6 +19,8 @@ non-increasing except for at most that rise per step at the rounding floor.
 """
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,12 +58,16 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n_vertices", "max_iters", "num_starts"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise InputDomainError(f"{name} must be an integer")
         if self.n_vertices < 32:
             raise InputDomainError("n_vertices must be >= 32")
         if self.max_iters < 1:
             raise InputDomainError("max_iters must be >= 1")
-        if self.grad_tol <= 0 or self.cluster_tol <= 0:
-            raise InputDomainError("grad_tol and cluster_tol must be positive")
+        # a nan tolerance fails every test it sets, an infinite one passes every test
+        if not (0.0 < self.grad_tol < math.inf and 0.0 < self.cluster_tol < math.inf):
+            raise InputDomainError("grad_tol and cluster_tol must be positive and finite")
         if self.num_starts < 1:
             raise InputDomainError("num_starts must be >= 1")
 

@@ -263,9 +263,9 @@ def test_run_malformed_value_exits_2(tmp_path, capsys, text, flags, message):
 
 
 def test_run_consistency_constant_factor_trial_passes(tmp_path):
-    # trial 22 at seed 11 draws a constant factor: its Lipschitz bound is 0 and
-    # the gap is pure rounding (2.2e-16), which the bound must allow
-    cfg = write(tmp_path, "bridge.cfg", "experiment = consistency\nseed = 11\ntrials = 23\n")
+    # trial 28 at seed 36 draws a constant factor: its Lipschitz bound is 0 and
+    # the gap is pure rounding (7.1e-15), which the bound must allow
+    cfg = write(tmp_path, "bridge.cfg", "experiment = consistency\nseed = 36\ntrials = 29\n")
     out = str(tmp_path / "bridge.jsonl")
     assert main(["run", cfg, "--out", out]) == 0
     last = [r for r in read_report(out) if r.get("kind") == "consistency"][-1]

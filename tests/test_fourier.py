@@ -245,6 +245,23 @@ def test_lipschitz_bound_single_mode_exact(k, ab):
     assert f.lipschitz_bound() == TWO_PI * (np.hypot(*k) * np.hypot(*ab))
 
 
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6), st.integers(1, 4),
+       st.floats(1e-3, 1e3))
+@settings(max_examples=40, deadline=None)
+def test_sup_bound_dominates_sampled_values(seed, n_modes, kmax, amp):
+    f = rand_series(np.random.default_rng(seed), n_modes=n_modes, kmax=kmax, amp=amp)
+    assert float(np.abs(f.grid_values(256)).max()) <= f.sup_bound() * (1.0 + 1e-12)
+
+
+def test_sup_bound_of_a_single_mode_is_its_peak():
+    # 1 + 0.3 cos(2 pi x) + 0.4 sin(2 pi x) peaks at 1.5; a constant is its own bound
+    f = Fourier2D(1.0, {(1, 0): (0.3, 0.4)})
+    assert f.sup_bound() == 1.5
+    peak = np.array([np.arctan2(0.4, 0.3) / TWO_PI, 0.7])
+    assert float(f(peak)) == pytest.approx(1.5, rel=1e-15)
+    assert Fourier2D(-3.0).sup_bound() == 3.0
+
+
 def test_sampled_gradient_misses_the_peak_of_a_single_mode():
     # cos(2 pi x - phi) with phi half a cell of the 512^2 grid: |grad| = 2 pi |sin(2 pi x - phi)|
     # peaks at x* = 1/4 + 1/1024, midway between grid points

@@ -35,6 +35,14 @@ from torusgeo.loops import (
 )
 
 
+def in_order_sum(values) -> float:
+    """(x_0 + x_1) + x_2 + ..., one float addition at a time."""
+    acc = 0.0
+    for x in values:
+        acc += x
+    return acc
+
+
 def two_speed_loop():
     """Half the parameter at Euclidean speed 1, half at speed 3; winding (2, 0)."""
     deltas = np.array([0.125] * 4 + [0.375] * 4)
@@ -184,8 +192,8 @@ def test_two_speed_loop_action_length_gap():
 
 
 def test_action_is_n_times_sum_of_squared_segment_lengths():
-    # one convention: N * sum ell_i^2 of ell_i = F(m_i, dx_i), bit for bit; for
-    # N a power of two it is also the period-1 form (1/N) sum F^2(m_i, N dx_i)
+    # one convention: N * sum ell_i^2 of ell_i = F(m_i, dx_i), added in segment
+    # order, bit for bit; for N a power of two it is also the period-1 form (1/N) sum F^2(m_i, N dx_i)
     from torusgeo.experiments import random_loop, random_metric
     rng = np.random.default_rng(17)
     powers = 0
@@ -193,12 +201,12 @@ def test_action_is_n_times_sum_of_squared_segment_lengths():
         m, loop = random_metric(rng), random_loop(rng)
         n = loop.n_vertices
         ell = segment_lengths(m, loop)
-        assert action(m, loop) == (ell ** 2).sum() * n
-        assert length(m, loop) == ell.sum()
+        assert action(m, loop) == in_order_sum(ell ** 2) * n
+        assert length(m, loop) == in_order_sum(ell)
         if n & (n - 1) == 0:
             powers += 1
             mids, deltas = edges(loop.vertices, loop.winding)
-            assert action(m, loop) == (m.speed(mids, n * deltas) ** 2).sum() / n
+            assert action(m, loop) == in_order_sum(m.speed(mids, n * deltas) ** 2) / n
     assert powers
 
 
@@ -330,7 +338,7 @@ def reparametrized_alone(k: int, loop) -> bytes:
 @given(st.integers(0, 2 ** 32 - 1), st.randoms(use_true_random=False))
 @settings(max_examples=5, deadline=None)
 def test_reparametrize_batch_matches_each_loop_alone(seed, order):
-    # mixed N (8..48, and past 128, where numpy's pairwise sum splits) and
+    # mixed N (8..48, and 120..160, so the short rows carry long padding) and
     # mixed windings, with the stall loops, among them one that needs the
     # eighth phases, and loops that take Newton steps
     from torusgeo.experiments import random_loop
@@ -347,15 +355,46 @@ def test_reparametrize_batch_matches_each_loop_alone(seed, order):
             assert [out.winding for out in outs] == [loop.winding for loop in batch]
 
 
-def test_row_sums_are_numpy_sums_of_each_row():
-    # numpy's pairwise sum, per padded row, for every N from 8 past 128
+def test_row_sums_add_each_row_in_order():
+    # the in-order sum of each padded row, for every N from 8 to 299; a row's
+    # bits depend on neither the block's width nor the order of its rows
     rng = np.random.default_rng(21)
     n = np.arange(8, 300)
     ell = rng.random((len(n), n[-1])) * rng.choice([1e-3, 1.0, 1e3], (len(n), n[-1]))
     ell[np.arange(n[-1]) >= n[:, None]] = 0.0
     for a in (ell, ell ** 2):
-        got = _row_sums(a, n)
-        assert [v.tobytes() for v in got] == [a[i, :k].sum().tobytes() for i, k in enumerate(n)]
+        want = [in_order_sum(row[:k]) for row, k in zip(a, n)]
+        assert _row_sums(a, n).tolist() == want
+        wide = np.concatenate([a, rng.random((len(n), 37))], axis=1)
+        assert _row_sums(wide, n).tolist() == want
+        perm = rng.permutation(len(n))
+        assert _row_sums(a[perm], n[perm]).tolist() == [want[i] for i in perm]
+        # one count for every row, and a single row
+        assert _row_sums(a[:, :100], 100).tolist() == [in_order_sum(row[:100]) for row in a]
+        assert [float(_row_sums(row, k)) for row, k in zip(a, n)] == want
+
+
+def test_inversion_knots_end_at_the_loop_length(monkeypatch):
+    # the cumulative F-length that the inversion step inverts ends, bit for
+    # bit, at the length `_length_action` gives each row
+    from torusgeo import loops as loops_mod
+    from torusgeo.experiments import random_loop
+    rng = np.random.default_rng(23)
+    batch = [random_loop(rng) for _ in range(40)] + [random_loop(rng, 120, 160)]
+    interp, knots = loops_mod._interp_rows, []
+
+    def spy(x, xp, fp, last):
+        knots.append(xp[np.arange(len(xp)), last])
+        return interp(x, xp, fp, last)
+
+    monkeypatch.setattr(loops_mod, "_interp_rows", spy)
+    for metric in cs_metrics():
+        ell, n = _stacked_lengths(metric, batch)
+        total = _length_action(ell, n)[0]
+        width = ell.shape[1]
+        u = np.where(np.arange(width) < n[:, None], np.arange(width, dtype=float), 0.0)
+        loops_mod._inversion_direction(u, ell, total, n)
+        assert knots.pop().tolist() == total.tolist()
 
 
 def test_cs_gap_is_the_stacked_gap():

@@ -203,6 +203,39 @@ def test_comparison_constant_randers_half():
     assert 2.0 <= c <= 2.022
 
 
+def test_comparison_constant_certifies_an_aliased_factor():
+    # lambda = 1 + 0.5 sin(2 pi 16 x) is 1 on every point of a 32^2 grid, but
+    # its c_F is 1/sqrt(0.5); the converged (1,0) loop's top segment speed is
+    # 1.39, which a constant sampled as 1.01 (cap 1.0201) would reject
+    from torusgeo import SolverConfig, shortest_loop, verify_speed_cap
+    m = ConformalMetric(euclidean(), ConformalFactor(Fourier2D(1.0, {(16, 0): (0.0, 0.5)})))
+    assert comparison_constant(m) >= np.sqrt(2.0)
+    res = shortest_loop(m, (1, 0), SolverConfig(n_vertices=128, max_iters=4000, seed=0))
+    assert res.converged and res.stop == "gradient"
+    assert float(np.linalg.norm(res.loop.velocities, axis=1).max()) > 1.3
+    assert verify_speed_cap(m, res.loop)
+
+
+def sampled_comparison_constant(metric, n=32):
+    """max(F, 1/F, 1) over an n^2 grid and n unit directions, inflated: a lower estimate."""
+    pts = Fourier2D.grid(n).reshape(-1, 2)
+    th = np.arange(n) * 2.0 * np.pi / n
+    dirs = np.stack([np.cos(th), np.sin(th)], axis=-1)
+    f = metric.speed(pts[:, None, :], dirs[None, :, :])
+    return max(float(f.max()), float(1.0 / f.min()), 1.0) * 1.01
+
+
+def test_comparison_constant_of_the_experiments_metrics_is_tight():
+    # where the extremes of F/|v| fall on the grid, the certificate is the
+    # sampled value to rounding
+    from torusgeo.experiments import height_bump
+    metrics = [euclidean(), RandersMetric(euclidean(), (0.3, 0.0))]
+    metrics += [ConformalMetric(euclidean(), height_bump(t)) for t in (0.05, 0.1, 0.2)]
+    for m in metrics:
+        sampled = sampled_comparison_constant(m)
+        assert abs(comparison_constant(m) - sampled) <= 2.0 * np.spacing(sampled)
+
+
 def test_sandwich_inequality_bulk():
     metrics, rng = random_metrics(11)
     for m in metrics:

@@ -70,6 +70,20 @@ def test_config_rejects_bad_fields():
         SolverConfig(max_iters=0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("grad_tol", float("inf")),  # would report a start converged without a step
+    ("grad_tol", float("nan")),  # would stall every start
+    ("cluster_tol", float("inf")),
+    ("cluster_tol", float("nan")),  # would drop minimizers from their own clusters
+    ("n_vertices", 64.5),  # would run on a 65-vertex loop
+    ("max_iters", 100.5),
+    ("num_starts", 2.5),
+])
+def test_config_rejects_non_finite_tolerances_and_non_integer_counts(field, value):
+    with pytest.raises(InputDomainError):
+        SolverConfig(**{field: value})
+
+
 # -- gradient ---------------------------------------------------------------------
 
 def test_action_gradient_matches_finite_differences():
@@ -162,7 +176,7 @@ def test_output_is_constant_speed():
 
 def test_final_reparametrization_is_needed(monkeypatch):
     # a converged descent on an oblique conformal factor stops short of constant
-    # speed (relative gap 2.1e-6); the final reparametrization brings it to 5e-9
+    # speed (relative gap 2.1e-6); the final reparametrization brings it to 4.1e-9
     from torusgeo import solver
     calls = []
 
@@ -175,7 +189,7 @@ def test_final_reparametrization_is_needed(monkeypatch):
     m = ConformalMetric(euclidean(), ConformalFactor(Fourier2D(1.0, {(2, 1): (0.2, 0.35)})))
     res = shortest_loop(m, (1, 1), SolverConfig(n_vertices=64, max_iters=3000, grad_tol=1e-7,
                                                 seed=0))
-    assert res.converged and res.iterations == 21 and res.stop == "gradient"
+    assert res.converged and res.iterations == 22 and res.stop == "gradient"
     [([iterate], [out])] = calls
     assert out is res.loop
     assert cs_gap(m, iterate) > 1e-6 * action(m, iterate)
@@ -573,7 +587,7 @@ def test_minimizer_set_evaluates_each_start_once(monkeypatch):
     rep = minimizer_set(m, (1, 0), SolverConfig(n_vertices=32, num_starts=5, seed=1))
     assert rep.n_converged + rep.n_failed == 5
     assert batches == [5]
-    assert len(calls) == 1 + 1  # the preconditioner's comparison constant, then the starts
+    assert len(calls) == 1  # the starts; the comparison constant reads only coefficients
 
 
 def test_single_start_spread_zero():
