@@ -25,6 +25,7 @@ from .loops import (
     length,
     loop_measure,
     reparametrize_batch,
+    reparametrize_rows,
     reparametrize_constant_speed,
 )
 from .solver import (

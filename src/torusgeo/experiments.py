@@ -17,14 +17,7 @@ import numpy as np
 from .config import get_float, get_floats, get_int
 from .errors import ConfigError, InputDomainError, PerturbationFailureError
 from .fourier import Fourier2D
-from .loops import (
-    DiscreteLoop,
-    _length_action,
-    _stacked_lengths,
-    action,
-    loop_measure,
-    reparametrize_batch,
-)
+from .loops import DiscreteLoop, action, loop_measure, reparametrize_rows
 from .measures import action_consistency, pushforward
 from .metrics import ConformalFactor, ConformalMetric, RandersMetric, euclidean
 from .polytope import (
@@ -129,18 +122,43 @@ def random_factor(rng: np.random.Generator) -> ConformalFactor:
 
 def random_loop(rng: np.random.Generator, n_min: int = 8, n_max: int = 48,
                 jitter: float = 0.45) -> DiscreteLoop:
-    n = int(rng.integers(n_min, n_max + 1))
-    while True:
-        p, q = int(rng.integers(-3, 4)), int(rng.integers(-3, 4))
-        if (p, q) != (0, 0):
-            break
-    # the straight lift of `DiscreteLoop.straight`, translated by a random offset
-    verts = rng.random(2) + np.arange(n)[:, None] / n * np.asarray((p, q), float)
+    """One loop of `random_loops`."""
+    x, winding, n = random_loops(rng, 1, n_min, n_max, jitter)
+    return DiscreteLoop(x[0, :n[0]], winding[0])
+
+
+def random_loops(rng: np.random.Generator, count: int, n_min: int, n_max: int,
+                 jitter: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """count jittered straight loops as lifts (count, n_max, 2), their windings (count, 2) and Ns.
+
+    Row i's first n[i] entries are its vertices, and what lies past them is
+    no vertex. Each loop draws N, then a nontrivial class (p, q), an offset,
+    a jitter amplitude and its N jitter draws, one loop after another; the
+    straight lifts of `DiscreteLoop.straight`, translated by the offsets, and
+    the jitter's scaling run on the whole block, with the bits of one loop's
+    arithmetic (`rng.uniform(-amp, amp)` is -amp + 2 amp `rng.random()`).
+    """
+    ns, windings, offsets, scales = [], [], np.empty((count, 2)), []
+    x = np.zeros((count, n_max, 2))  # uniform draws on [0, 1), then the lifts
+    for i in range(count):
+        n = int(rng.integers(n_min, n_max + 1))
+        while True:
+            p, q = int(rng.integers(-3, 4)), int(rng.integers(-3, 4))
+            if (p, q) != (0, 0):
+                break
+        ns.append(n)
+        windings.append((p, q))
+        rng.random(out=offsets[i])
+        scales.append(rng.uniform(0.0, jitter))
+        rng.random(out=x[i, :n])
+    n, winding = np.array(ns), np.array(windings, dtype=float)
     # jitter scales with the segment length: the sampled curve stays
     # piecewise-C^1-like instead of doubling back between vertices
-    amp = rng.uniform(0.0, jitter) * np.hypot(p, q) / n
-    verts += rng.uniform(-amp, amp, size=(n, 2))
-    return DiscreteLoop(verts, (p, q))
+    amp = (np.array(scales) * np.hypot(winding[:, 0], winding[:, 1]) / n)[:, None, None]
+    x *= amp + amp
+    x -= amp
+    x += offsets[:, None] + np.arange(n_max)[:, None] / n[:, None, None] * winding[:, None]
+    return x, winding, n
 
 
 _BODY_DIM_MAX = 8
@@ -248,25 +266,21 @@ def cs_property_metrics() -> list:
 
 def run_cs_property(cfg: dict, seed: int):
     count = _count(cfg, "count", 10000)
-    rng = np.random.default_rng(seed)
+    x, winding, n = random_loops(np.random.default_rng(seed), count, 8, 48, 0.45)
     metrics = cs_property_metrics()
-    loops = [random_loop(rng) for _ in range(count)]
     gap_violations = 0
     reparam_violations = 0
-    worst_gap = 0.0
-    worst_rel = 0.0
-    # loop i takes metric i mod 3: one batch per metric, one evaluation of its
-    # inputs (their cs_gap) and one of its reparametrized loops (their residuals)
-    for k, metric in enumerate(metrics):
-        batch = loops[k::len(metrics)]
-        if not batch:
-            continue
-        total, a = _length_action(*_stacked_lengths(metric, batch))
+    worst_gap = math.inf
+    worst_rel = -math.inf
+    # loop i takes metric i mod 3: one reparametrization per metric's rows,
+    # whose first trial gives the inputs' cs_gap and whose results their residuals
+    for k, metric in enumerate(metrics[:count]):
+        rows = slice(k, None, len(metrics))
+        _, (total, a), (total_r, a_r) = reparametrize_rows(metric, x[rows], winding[rows], n[rows])
         gap = a - total ** 2
         worst_gap = min(worst_gap, float(gap.min()))
         gap_violations += int((gap < -1e-9).sum())
-        total, a = _length_action(*_stacked_lengths(metric, reparametrize_batch(metric, batch)))
-        rel = (a - total ** 2) / a  # cs_gap / action
+        rel = (a_r - total_r ** 2) / a_r  # cs_gap / action
         worst_rel = max(worst_rel, float(rel.max()))
         reparam_violations += int((rel > 1e-6).sum())
     records = [{"kind": "cs-property", "count": count, "min_gap": worst_gap,
@@ -329,8 +343,9 @@ def run_mane_polytope(cfg: dict, seed: int):
 def _mane_block(rng: np.random.Generator, trials: range, delta: float, eps_rel: float):
     """The records of one block of `mane-polytope` trials, and whether the oracle agreed on each.
 
-    Each trial draws its body, then the seed of its exposing draws, and the
-    block is solved as one `shrink_argmin_batch` and checked by one
+    Each trial draws its body, then a seed; the block's seeds seed the one
+    generator that its rows share for their exposing draws. The block is
+    solved as one `shrink_argmin_batch` and checked by one
     `_argmin_bruteforce` call over its solved trials.
     """
     bodies, seeds = [], []
@@ -339,7 +354,8 @@ def _mane_block(rng: np.random.Generator, trials: range, delta: float, eps_rel: 
         seeds.append(int(rng.integers(2 ** 31)))
     eps = [eps_rel * body.diameter for body in bodies]
     fs = [Functional.zero(body.dimension) for body in bodies]
-    results = shrink_argmin_batch(fs, bodies, eps, [delta] * len(bodies), seeds)
+    shared = np.random.default_rng(seeds)
+    results = shrink_argmin_batch(fs, bodies, eps, [delta] * len(bodies), [shared] * len(bodies))
     solved = [j for j, res in enumerate(results) if not isinstance(res, Exception)]
     brute = dict(zip(solved, _argmin_bruteforce([results[j].functional for j in solved],
                                                 [bodies[j] for j in solved])))
@@ -358,12 +374,11 @@ def _mane_block(rng: np.random.Generator, trials: range, delta: float, eps_rel: 
         m_brute, active_brute = brute[j]
         if res.after.active_indices != active_brute or abs(res.after.value - m_brute) > 1e-12 * (1 + abs(m_brute)):
             oracle_ok = False
-        shift = res.functional.norm  # ||f* - f|| with f = 0
-        success = res.after.diameter <= e and shift <= delta
+        success = res.after.diameter <= e and res.shift <= delta
         records.append({"kind": "mane-polytope", "trial": trial, "success": bool(success),
                         "dimension": body.dimension, "n_vertices": len(body.vertices),
                         "diam_before": res.before.diameter, "diam_after": res.after.diameter,
-                        "eps": e, "t": res.t, "shift": shift})
+                        "eps": e, "t": res.t, "shift": res.shift})
     return records, oracle_ok
 
 

@@ -191,13 +191,13 @@ def _pad_closing(x: np.ndarray, winding: np.ndarray, n: np.ndarray) -> np.ndarra
 
 
 def _stack(loops) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The loops' vertices as rows padded by `_pad_closing`, their windings (B, 2) and their Ns."""
+    """The loops' vertices as rows, zero past each N, their windings (B, 2) and their Ns."""
     n = np.array([loop.n_vertices for loop in loops])
     winding = np.array([loop.winding for loop in loops], dtype=float)
     x = np.zeros((len(loops), n.max(), 2))
     for row, loop in zip(x, loops):
         row[:loop.n_vertices] = loop.vertices
-    return _pad_closing(x, winding, n), winding, n
+    return x, winding, n
 
 
 def _padded_speeds(metric: FinslerMetric, chords, n: np.ndarray) -> np.ndarray:
@@ -207,12 +207,6 @@ def _padded_speeds(metric: FinslerMetric, chords, n: np.ndarray) -> np.ndarray:
     ell = np.zeros(valid.shape)
     ell[valid] = metric.speed(mids[valid], deltas[valid])
     return ell
-
-
-def _stacked_lengths(metric: FinslerMetric, loops) -> tuple[np.ndarray, np.ndarray]:
-    """Segment lengths of the loops from one `speed` call, as padded rows for `_length_action`, and their Ns."""
-    x, winding, n = _stack(loops)
-    return _padded_speeds(metric, edges(x, winding), n), n
 
 
 def _segment_index(u: np.ndarray, n) -> np.ndarray:
@@ -346,7 +340,25 @@ def reparametrize_constant_speed(metric: FinslerMetric, loop: DiscreteLoop) -> D
 
 
 def reparametrize_batch(metric: FinslerMetric, loops) -> list[DiscreteLoop]:
-    """Resample each loop at equal increments of F-arc-length.
+    """Resample each loop at equal increments of F-arc-length: `reparametrize_rows` of the
+    loops stacked as padded rows (`_stack`), each returned row built as a DiscreteLoop."""
+    loops = list(loops)
+    if not loops:
+        return []
+    pts = reparametrize_rows(metric, *_stack(loops))[0]
+    return [DiscreteLoop(row[:loop.n_vertices], loop.winding) for row, loop in zip(pts, loops)]
+
+
+def reparametrize_rows(metric: FinslerMetric, x: np.ndarray, winding, n):
+    """Resample lifts at equal increments of F-arc-length; each row's (length, action) before and after.
+
+    x holds B lifts as rows, shape (B, M, 2): row i's first n[i] entries are
+    its vertices, and what lies past them is ignored. winding is one (p, q)
+    or one per row, n one count or one per row. Returns the resampled
+    points, shape (B, M, 2), row i's first n[i] its vertices; the inputs'
+    (length, action), each of shape (B,), from the first trial; and the
+    results' (length, action), recorded with the points they belong to, with
+    the bits `_length_action` gives the resampled loops.
 
     Vertices stay on the original polygon (the parameters u_j live on the
     input chain). The steps drive the per-segment speeds, measured with the
@@ -362,25 +374,23 @@ def reparametrize_batch(metric: FinslerMetric, loops) -> list[DiscreteLoop]:
     moves the solution off the kink. The eighth phases run only once the
     quarter phases have all stalled.
 
-    The loops, of any N and winding, run as one array program: rows padded
-    to the largest N (`_stack`), each with its own phase, Newton flag, step
+    The rows, of any N and winding, run as one array program, padded past
+    each N by `_pad_closing`, each with its own phase, Newton flag, step
     count and line-search step; a round evaluates every row's pending trials
     (a failing search's next few at once) in one `speed` call on the
-    stacked chords, and finished rows leave the live set. Each loop takes
-    exactly the steps it takes alone, to the same bits. The first
-    trial, phase 0, is the input loops' own evaluation, and only the
-    returned loops are built as DiscreteLoops. A loop of zero or non-finite
+    stacked chords, and finished rows leave the live set. Each row takes
+    exactly the steps it takes alone, to the same bits. The first trial,
+    phase 0, is the input rows' own evaluation. A row of zero or non-finite
     length raises, naming its index, before any step.
     """
-    loops = list(loops)
-    if not loops:
-        return []
-    x, winding, n = _stack(loops)
     count, width = x.shape[:2]
+    winding = np.broadcast_to(np.asarray(winding, float), (count, 2))
+    n = np.broadcast_to(n, (count,))
     valid = np.arange(width) < n[:, None]
-    closed = np.concatenate([x, x[:, :1] + winding[:, None]], axis=1)
-    ell = _padded_speeds(metric, edges(x, winding), n)
-    del x  # the chains are read from closed
+    closed = np.empty((count, width + 1, 2))
+    closed[:, :width] = x
+    _pad_closing(closed, winding, n)
+    ell = _padded_speeds(metric, edges(closed[:, :width], winding), n)
     total, a = _length_action(ell, n)
     bad = np.flatnonzero(~(np.isfinite(total) & (total > 0.0)))
     if len(bad):
@@ -390,9 +400,11 @@ def reparametrize_batch(metric: FinslerMetric, loops) -> list[DiscreteLoop]:
                                      "finite and their chords must not overflow")
         raise DegenerateLoopError(f"loop {bad[0]}: cannot reparametrize a zero-length loop")
     gap = a - total ** 2
+    before = total.copy(), a.copy()
     u = np.where(valid, np.arange(width, dtype=float), 0.0)
     d = np.zeros_like(u)
     best_u, best_gap = u.copy(), np.full(count, np.inf)
+    best_total, best_a = total.copy(), a.copy()
     step, tries = np.ones(count), np.zeros(count, dtype=int)
     newton = np.zeros(count, dtype=bool)
     iters, phase = np.zeros(count, dtype=int), np.zeros(count, dtype=int)
@@ -403,6 +415,7 @@ def reparametrize_batch(metric: FinslerMetric, loops) -> list[DiscreteLoop]:
             return
         better = idx[gap[idx] < best_gap[idx]]
         best_u[better], best_gap[better] = u[better], gap[better]
+        best_total[better], best_a[better] = total[better], a[better]
         done = _converged(gap[idx], total[idx]) | (phase[idx] == len(_PHASES) - 1)
         mode[idx[done]] = _DONE
         idx = idx[~done]
@@ -461,7 +474,7 @@ def reparametrize_batch(metric: FinslerMetric, loops) -> list[DiscreteLoop]:
             src = np.concatenate([np.arange(len(starts)), len(starts) + first])
             kept = ev[src]
             u[kept], ell[kept] = u_ev[src], ell_t[src]
-            total[kept], gap[kept] = total_t[src], gap_t[src]
+            total[kept], a[kept], gap[kept] = total_t[src], a_t[src], gap_t[src]
             mode[kept] = _STEP
         failed = mode[idx] == _SEARCH
         idx, span = idx[failed], span[failed]
@@ -472,8 +485,7 @@ def reparametrize_batch(metric: FinslerMetric, loops) -> list[DiscreteLoop]:
     while not np.all(mode == _DONE):
         start_searches(np.flatnonzero(mode == _STEP))
         search(np.flatnonzero(mode == _SEARCH), np.flatnonzero(mode == _START))
-    pts = _point_on_polygon(closed, best_u)
-    return [DiscreteLoop(row[:k], loop.winding) for row, k, loop in zip(pts, n, loops)]
+    return _point_on_polygon(closed, best_u), before, (best_total, best_a)
 
 
 @dataclass(frozen=True)

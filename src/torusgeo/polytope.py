@@ -251,8 +251,10 @@ def _raised(entry):
 def _expose(bodies: list, eps: list, seeds: list) -> list:
     """`exposing_functional` of each row, one block per round of draws.
 
-    Row i draws from its own `default_rng(seeds[i])` until a draw is
-    accepted; its entry is (g, face) or its ExposureFailureError.
+    Row i draws from `default_rng(seeds[i])` until a draw is accepted: its
+    own generator for an int seed, or a Generator that several rows share
+    (default_rng returns it unchanged), from which each round draws for its
+    live rows in row order. Its entry is (g, face) or its ExposureFailureError.
     """
     rngs = [np.random.default_rng(s) for s in seeds]
     out = [None] * len(bodies)
@@ -280,6 +282,7 @@ def _expose(bodies: list, eps: list, seeds: list) -> list:
 class PerturbationResult:
     functional: Functional
     t: float
+    shift: float  # ||f* - f|| of the computed coefficients, at most delta
     before: ArgminSet  # of f
     after: ArgminSet  # of the returned functional f*
     tested_t: tuple[float, ...] = field(repr=False)
@@ -311,10 +314,13 @@ def shrink_argmin_batch(fs, bodies, eps, delta, seeds) -> list:
     """`shrink_argmin(fs[i], bodies[i], eps[i], delta[i], seeds[i])` of every row i.
 
     The rows run as one block per step: the argmin sets of f, each round of
-    exposing draws, each halving of t. Every row keeps its own exposing
-    generator, draw count and trimmed t, and leaves the block at the draw and
-    the halving that settle it, so its entry has the bits it gets alone: the
-    PerturbationResult, or the PerturbationFailureError or
+    exposing draws, each halving of t. Every row keeps its own draw count and
+    trimmed t, and leaves the block at the draw and the halving that settle
+    it. A seed is an int, which gives the row its own generator, or a
+    Generator, which several rows can share and draw from in row order
+    (`_expose`). A row with its own generator gets the bits it gets alone,
+    and a row of a shared one the bits it gets alone from the draws that
+    fall to it: the PerturbationResult, or the PerturbationFailureError or
     ExposureFailureError that `shrink_argmin` raises for it.
     """
     if not len(fs) == len(bodies) == len(eps) == len(delta) == len(seeds):
@@ -338,14 +344,14 @@ def shrink_argmin_batch(fs, bodies, eps, delta, seeds) -> list:
     for k in range(_HALVINGS):
         steps = [_trimmed_step(fs[i].coefficients, exposed[i][0].coefficients,
                                delta[i] / (g_norms[i] * 2.0 ** k), delta[i]) for i in live]
-        sets = _argmin_sets([bodies[i].vertices @ cs for i, (_, cs) in zip(live, steps)],
+        sets = _argmin_sets([bodies[i].vertices @ cs for i, (_, cs, _) in zip(live, steps)],
                             [bodies[i] for i in live], DEFAULT_TOL)
-        for i, (t, cs), a in zip(live, steps, sets):
+        for i, (t, cs, shift), a in zip(live, steps, sets):
             tested[i].append(t)
             out[i] = _step_error(bases[i], exposed[i][1].value, g_vals[i], t, a, delta[i])
             if out[i] is None and a.diameter <= eps[i]:
-                out[i] = PerturbationResult(functional=Functional._of(cs), t=t, before=bases[i],
-                                            after=a, tested_t=tuple(tested[i]))
+                out[i] = PerturbationResult(functional=Functional._of(cs), t=t, shift=shift,
+                                            before=bases[i], after=a, tested_t=tuple(tested[i]))
         live = [i for i in live if out[i] is None]
         if not live:
             return out
@@ -356,13 +362,13 @@ def shrink_argmin_batch(fs, bodies, eps, delta, seeds) -> list:
 
 
 def _trimmed_step(cf: np.ndarray, cg: np.ndarray, t: float,
-                  delta: float) -> tuple[float, np.ndarray]:
-    """The scheduled t, trimmed until ||(f + t*g) - f|| <= delta, and f + t*g's coefficients."""
+                  delta: float) -> tuple[float, np.ndarray, float]:
+    """The scheduled t, trimmed until ||(f + t*g) - f|| <= delta, f + t*g's coefficients and that shift."""
     while True:
         cs = cf + t * cg  # the coefficients of f + t*g
         shift = _norm(cs - cf)
         if shift <= delta:
-            return t, cs
+            return t, cs, shift
         # rescale to the realized shift, stepping at least one ulp down so t strictly decreases
         t = min(t * (delta / shift), float(np.nextafter(t, 0.0)))
 

@@ -29,9 +29,8 @@ from .errors import InputDomainError, MalformedLoopError, SolverFailureError
 from .loops import (
     DiscreteLoop,
     _length_action,
-    _stacked_lengths,
     edges,
-    reparametrize_batch,
+    reparametrize_rows,
     require_nontrivial,
 )
 from .metrics import FinslerMetric, comparison_constant
@@ -227,7 +226,9 @@ def _descend(metric: FinslerMetric, winding: tuple[int, int], config: SolverConf
     Each start keeps its own step, tests, pairs and iteration count, exactly
     as if it ran alone. Each trial is evaluated with its gradient, and the
     accepted trial's gradient serves the next iteration, so an iteration
-    costs about one metric kernel call. Memory is O(S * N * `_MEMORY`).
+    costs about one metric kernel call. Memory is O(S * N * `_MEMORY`). The
+    final iterates are reparametrized as one batch (`reparametrize_rows`),
+    which also gives each start's reported length and action.
     """
     x = np.array(x0, dtype=float)
     _require_finite(x)
@@ -293,12 +294,11 @@ def _descend(metric: FinslerMetric, winding: tuple[int, int], config: SolverConf
         live = live[accepted | retry]
 
     _polish(metric, winding, config, np.flatnonzero(converged), x, a, grad, symbol, histories)
-    outs = reparametrize_batch(metric, [DiscreteLoop(xi, winding) for xi in x])
-    total, a_out = _length_action(*_stacked_lengths(metric, outs))
+    pts, _, (total, a_out) = reparametrize_rows(metric, x, winding, n)
     results = []
-    for i, out in enumerate(outs):
+    for i, out in enumerate(pts):
         stop = "gradient" if converged[i] else "stall" if stalled[i] else "max_iters"
-        results.append(SolveResult(loop=out, converged=bool(converged[i]),
+        results.append(SolveResult(loop=DiscreteLoop(out, winding), converged=bool(converged[i]),
                                    iterations=int(iterations[i]), action=float(a_out[i]),
                                    length=float(total[i]), stop=stop, action_history=histories[i]))
     return results

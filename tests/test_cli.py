@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from torusgeo import ConvexBody, DiscreteLoop
+from torusgeo import ConvexBody, DiscreteLoop, cs_gap
 from torusgeo.cli import main
 from torusgeo.config import get_float, get_floats, get_int, parse_config
 from torusgeo.errors import ConfigError
@@ -325,17 +325,17 @@ def test_plot_data_not_a_report_exits_2(tmp_path, capsys, line, error):
 def test_cs_property_evaluates_each_loop_once(monkeypatch):
     from torusgeo import experiments, metrics
     calls, inside, batches = [], [], []
-    real_reparam = experiments.reparametrize_batch
+    real_reparam = experiments.reparametrize_rows
 
-    def reparam(metric, loops):
+    def reparam(metric, x, winding, n):
         inside.append(True)
-        batches.append(len(loops))
+        batches.append(len(n))
         try:
-            return real_reparam(metric, loops)
+            return real_reparam(metric, x, winding, n)
         finally:
             inside.pop()
 
-    monkeypatch.setattr(experiments, "reparametrize_batch", reparam)
+    monkeypatch.setattr(experiments, "reparametrize_rows", reparam)
     for cls in (metrics.RiemannianMetric, metrics.RandersMetric, metrics.ConformalMetric):
         def speed(self, x, v, _real=cls.speed):
             if not inside:
@@ -344,11 +344,24 @@ def test_cs_property_evaluates_each_loop_once(monkeypatch):
         monkeypatch.setattr(cls, "speed", speed)
     records, checks = experiments.run_cs_property({"count": 30}, 0)
     assert all(checks.values())
-    # one batch per metric; per batch, outside the reparametrization: one
-    # evaluation of the stacked input loops (their cs_gap), then one of the
-    # stacked reparametrized loops (their residuals)
+    # one batch per metric; the inputs' gaps come from the reparametrization's
+    # first trial and the residuals from its results, so no evaluation is outside it
     assert batches == [10, 10, 10]
-    assert len(calls) == 3 * 2
+    assert len(calls) == 0
+
+
+@pytest.mark.parametrize("count", [1, 2, 61])
+def test_cs_property_min_gap_is_the_least_drawn_gap(count):
+    # counts 1 and 2 leave two and then one metric batch empty
+    from torusgeo import experiments
+    metrics = experiments.cs_property_metrics()
+    rng = np.random.default_rng(4)
+    loops = [experiments.random_loop(rng) for _ in range(count)]
+    [record], checks = experiments.run_cs_property({"count": count}, 4)
+    assert all(checks.values())
+    assert record["min_gap"] == min(cs_gap(metrics[i % 3], loop) for i, loop in enumerate(loops))
+    assert record["min_gap"] > 0.0
+    assert -1e-6 <= record["max_relative_gap_after_reparam"] <= 1e-6
 
 
 def outer_speed_calls(monkeypatch) -> list:
@@ -475,6 +488,14 @@ def test_input_draws_keep_their_order_and_bits():
             assert same(loop.vertices, old.vertices) and loop.winding == old.winding
         for _ in range(3):
             assert same(experiments.random_body(rng).vertices, old_body(ref).vertices)
+        # the block drawer: row by row, each loop's vertices, then padding
+        for args in [(8, 48, 0.45), (16, 64, 0.15)]:
+            x, winding, n = experiments.random_loops(rng, 5, *args)
+            assert x.shape == (5, args[1], 2)
+            for row, w, k in zip(x, winding, n):
+                old = old_loop(ref, *args)
+                assert row[:k].tobytes() == old.vertices.tobytes()
+                assert tuple(w) == old.winding
         assert rng.random() == ref.random()
 
 

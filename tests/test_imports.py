@@ -158,8 +158,7 @@ def test_private_imports_detected():
 
 def test_private_names_shared_across_modules_are_pinned():
     # each module keeps its private helpers to itself, except the loop
-    # length and action kernels that the solver and experiments share
+    # length and action kernel that the solver's descent reads
     package = ROOT / "src" / "torusgeo"
     sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(package.glob("*.py"))}
-    assert private_imports(sources) == {(user, "loops", name) for user in ("solver", "experiments")
-                                        for name in ("_length_action", "_stacked_lengths")}
+    assert private_imports(sources) == {("solver", "loops", "_length_action")}

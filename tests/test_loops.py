@@ -17,6 +17,7 @@ from torusgeo import (
     loop_measure,
     reparametrize_batch,
     reparametrize_constant_speed,
+    reparametrize_rows,
 )
 from torusgeo.errors import (
     DegenerateLoopError,
@@ -26,9 +27,11 @@ from torusgeo.errors import (
 )
 from torusgeo.loops import (
     _length_action,
+    _pad_closing,
+    _padded_speeds,
     _point_on_polygon,
     _row_sums,
-    _stacked_lengths,
+    _stack,
     edges,
     require_nontrivial,
     segment_lengths,
@@ -41,6 +44,12 @@ def in_order_sum(values) -> float:
     for x in values:
         acc += x
     return acc
+
+
+def stacked_lengths(metric, loops):
+    """Segment lengths of the loops from one `speed` call, as padded rows for `_length_action`, and their Ns."""
+    x, winding, n = _stack(loops)
+    return _padded_speeds(metric, edges(_pad_closing(x, winding, n), winding), n), n
 
 
 def two_speed_loop():
@@ -389,7 +398,7 @@ def test_inversion_knots_end_at_the_loop_length(monkeypatch):
 
     monkeypatch.setattr(loops_mod, "_interp_rows", spy)
     for metric in cs_metrics():
-        ell, n = _stacked_lengths(metric, batch)
+        ell, n = stacked_lengths(metric, batch)
         total = _length_action(ell, n)[0]
         width = ell.shape[1]
         u = np.where(np.arange(width) < n[:, None], np.arange(width, dtype=float), 0.0)
@@ -404,8 +413,26 @@ def test_cs_gap_is_the_stacked_gap():
     rng = np.random.default_rng(22)
     loops = [random_loop(rng) for _ in range(300)]
     for metric in cs_metrics():
-        total, a = _length_action(*_stacked_lengths(metric, loops))
+        total, a = _length_action(*stacked_lengths(metric, loops))
         assert [cs_gap(metric, loop) for loop in loops] == (a - total ** 2).tolist()
+
+
+@pytest.mark.parametrize("seed", [1, 5, 502])
+def test_reparametrize_rows_pairs_are_the_lengths_of_its_loops(seed):
+    # the cs-property rows of the seed (loop 405 stalls at seed 5, and seed 502
+    # reaches Newton steps and the eighth phases): each row's (length, action),
+    # of the input and of the result, has the bits of the loop's own; what
+    # lies past a row's N is ignored
+    from torusgeo.experiments import cs_property_metrics, random_loops
+    x, winding, n = random_loops(np.random.default_rng(seed), 1000, 8, 48, 0.45)
+    x[np.arange(x.shape[1]) >= n[:, None]] = np.nan
+    for k, metric in enumerate(cs_property_metrics()):
+        rows = slice(k, None, 3)
+        pts, before, after = reparametrize_rows(metric, x[rows], winding[rows], n[rows])
+        for points, pair in ((x[rows], before), (pts, after)):
+            loops = [DiscreteLoop(p[:m], w) for p, w, m in zip(points, winding[rows], n[rows])]
+            want = _length_action(*stacked_lengths(metric, loops))
+            assert [v.tobytes() for v in pair] == [v.tobytes() for v in want]
 
 
 def test_reparametrize_builds_only_the_returned_loop(monkeypatch):

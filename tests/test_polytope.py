@@ -466,6 +466,17 @@ def test_shrink_stays_in_neighborhood():
             assert res.after.diameter <= 1e-3 * body.diameter
 
 
+def test_shrink_reports_its_realized_shift():
+    rng = np.random.default_rng(12)
+    for trial in range(20):
+        body = random_body(rng)
+        for size in (1.0, 1e3):
+            f = Functional(size * rng.standard_normal(body.dimension))
+            res = shrink_argmin(f, body, eps=1e-3 * body.diameter, delta=0.1, seed=trial)
+            assert res.shift == polytope._norm(res.functional.coefficients - f.coefficients)
+            assert res.shift <= 0.1
+
+
 def test_shrink_functional_has_the_bits_of_f_plus_t_g():
     # f* is built from arrays, not from Functional arithmetic: the same coefficients, bit for bit
     rng = np.random.default_rng(9)
@@ -534,7 +545,7 @@ def entry_bits(entry) -> tuple:
     def argmin_bits(a):
         return a.value.hex(), a.active_indices, a.diameter.hex(), a.values.tobytes()
 
-    return (entry.functional.coefficients.tobytes(), entry.t.hex(),
+    return (entry.functional.coefficients.tobytes(), entry.t.hex(), entry.shift.hex(),
             [t.hex() for t in entry.tested_t], argmin_bits(entry.before), argmin_bits(entry.after))
 
 
@@ -577,6 +588,50 @@ def test_shrink_batch_rows_cover_redraws_halvings_and_errors():
 def test_shrink_batch_equals_each_row_alone_hypothesis(specs, data):
     rows = [batch_row(kind, seed) for kind, seed in specs]
     assert_batch_is_each_row_alone(rows, data.draw(st.permutations(range(len(rows)))))
+
+
+class Replay(np.random.Generator):
+    """A generator whose `standard_normal` hands out the given draws in order."""
+
+    def __init__(self, draws):
+        super().__init__(np.random.PCG64(0))
+        self.draws = list(draws)
+
+    def standard_normal(self, size=None):
+        return self.draws.pop(0)
+
+
+def shared_draws(rows, seed) -> list:
+    """Each row's exposing draws from one generator: every round, each live row in row order."""
+    gen = np.random.default_rng(seed)
+    faces = [ConvexBody(body.vertices[list(argmin_set(f, body).active_indices)])
+             for f, body, *_ in rows]
+    draws = [[] for _ in rows]
+    live = range(len(rows))
+    for _ in range(polytope._EXPOSING_DRAWS):
+        for i in live:
+            draws[i].append(gen.standard_normal(faces[i].dimension))
+        live = [i for i in live if not exposes(draws[i][-1], faces[i], rows[i][2] / 2.0)]
+    return draws
+
+
+def exposes(v, face, eps) -> bool:
+    nv = polytope._norm(v)
+    return nv != 0.0 and argmin_set(Functional(v / nv), face).diameter <= eps
+
+
+def test_shrink_batch_rows_can_share_a_generator():
+    # one Generator for every row: each row's entry is the one it gets alone
+    # from the draws that fall to it when each round draws for the live rows
+    # in row order; redraws (kind 3) and exhausted draws (kind 6) shift the
+    # later rows' draws
+    rows = [batch_row(kind, seed) for seed in range(3) for kind in range(7)]
+    gen = np.random.default_rng(17)
+    got = polytope.shrink_argmin_batch(*[list(col) for col in zip(*rows)][:4], [gen] * len(rows))
+    draws = shared_draws(rows, 17)
+    want = [alone(row[:4] + (Replay(d),)) for row, d in zip(rows, draws)]
+    assert [entry_bits(e) for e in got] == [entry_bits(e) for e in want]
+    assert max(len(d) for d in draws) == polytope._EXPOSING_DRAWS
 
 
 def test_shrink_batch_exhausted_schedule_is_an_error(monkeypatch):

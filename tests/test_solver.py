@@ -13,6 +13,7 @@ from torusgeo import (
     action_gradient,
     cs_gap,
     euclidean,
+    length,
     loop_distance,
     min_reference_length,
     minimizer_set,
@@ -180,18 +181,19 @@ def test_final_reparametrization_is_needed(monkeypatch):
     from torusgeo import solver
     calls = []
 
-    def spy(metric, loops, _real=solver.reparametrize_batch):
-        outs = _real(metric, loops)
-        calls.append((loops, outs))
-        return outs
+    def spy(metric, x, winding, n, _real=solver.reparametrize_rows):
+        out = _real(metric, x, winding, n)
+        calls.append((DiscreteLoop(x[0], winding), out))
+        return out
 
-    monkeypatch.setattr(solver, "reparametrize_batch", spy)
+    monkeypatch.setattr(solver, "reparametrize_rows", spy)
     m = ConformalMetric(euclidean(), ConformalFactor(Fourier2D(1.0, {(2, 1): (0.2, 0.35)})))
     res = shortest_loop(m, (1, 1), SolverConfig(n_vertices=64, max_iters=3000, grad_tol=1e-7,
                                                 seed=0))
     assert res.converged and res.iterations == 22 and res.stop == "gradient"
-    [([iterate], [out])] = calls
-    assert out is res.loop
+    [(iterate, ([out], _, ([total], [a])))] = calls
+    assert out.tobytes() == res.loop.vertices.tobytes()
+    assert (total, a) == (res.length, res.action)
     assert cs_gap(m, iterate) > 1e-6 * action(m, iterate)
     assert cs_gap(m, res.loop) <= 1e-6 * res.action
 
@@ -561,22 +563,22 @@ def test_perturbed_metric_collapses_to_one_cluster():
 
 
 def test_minimizer_set_evaluates_each_start_once(monkeypatch):
-    # outside the reparametrization, the starts' reported lengths and actions
-    # come from one evaluation of their segment lengths, all starts stacked;
-    # the descent uses the kernel, and reparametrizes the starts as one batch
+    # the descent uses the kernel and reparametrizes the starts as one batch,
+    # whose results carry the starts' reported lengths and actions, so no
+    # evaluation is outside the reparametrization
     from torusgeo import metrics, solver
     from torusgeo.experiments import height_bump
     calls, inside, batches = [], [], []
 
-    def reparam(metric, loops, _real=solver.reparametrize_batch):
+    def reparam(metric, x, winding, n, _real=solver.reparametrize_rows):
         inside.append(True)
-        batches.append(len(loops))
+        batches.append(len(x))
         try:
-            return _real(metric, loops)
+            return _real(metric, x, winding, n)
         finally:
             inside.pop()
 
-    monkeypatch.setattr(solver, "reparametrize_batch", reparam)
+    monkeypatch.setattr(solver, "reparametrize_rows", reparam)
     for cls in (metrics.RiemannianMetric, metrics.ConformalMetric):
         def speed(self, x, v, _real=cls.speed):
             if not inside:
@@ -587,7 +589,19 @@ def test_minimizer_set_evaluates_each_start_once(monkeypatch):
     rep = minimizer_set(m, (1, 0), SolverConfig(n_vertices=32, num_starts=5, seed=1))
     assert rep.n_converged + rep.n_failed == 5
     assert batches == [5]
-    assert len(calls) == 1  # the starts; the comparison constant reads only coefficients
+    assert len(calls) == 0  # the comparison constant reads only coefficients
+
+
+def test_descent_reports_the_lengths_of_its_final_loops():
+    # the reported length and action, read from the final reparametrization,
+    # have the bits of the returned loop's own, converged or not
+    from torusgeo.experiments import height_bump
+    for m, iters in ((ConformalMetric(euclidean(), height_bump(0.2)), 3000),
+                     (RandersMetric(euclidean(), (0.3, 0.1)), 5)):
+        cfg = SolverConfig(n_vertices=32, num_starts=6, max_iters=iters, seed=4)
+        results = _descend(m, (1, 1), cfg, _starts((1, 1), cfg))
+        assert [(r.length, r.action) for r in results] \
+            == [(length(m, r.loop), action(m, r.loop)) for r in results]
 
 
 def test_single_start_spread_zero():
