@@ -378,27 +378,67 @@ def loop_distance(a: DiscreteLoop, b: DiscreteLoop) -> float:
     return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
 
 
-_DISTANCE_BLOCK = 4  # pairs compared at once: (block, N, N) arrays keep memory small
+_DISTANCE_BLOCK = 4  # fallback pairs compared at once: (block, N, N) arrays keep memory small
+_PAIR_CHUNK = 32  # pairs bounded at once, both directions as (2 chunk, N) rows
+_TOP = 4  # vertices per direction whose exact rows must reach every other vertex's bound
 _PIVOTS = 4  # loops whose exact distance rows bound every other pair
 _BOUND_SLACK = 1e-12  # widens the pivot bounds past rounding, see `_spread_links`
+
+
+def _gaps_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared torus gaps of points a (..., 2) and b (..., 2) in [0, 1]^2, broadcast;
+    each coordinate gap then lies in [0, 1] and needs one fold, min(g, 1 - g)."""
+    dx, dy = a[..., 0] - b[..., 0], a[..., 1] - b[..., 1]
+    for d in (dx, dy):
+        np.abs(d, out=d)
+        np.minimum(d, 1.0 - d, out=d)
+        d *= d
+    dx += dy
+    return dx
 
 
 def _pair_distances(pts: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     """`loop_distance` of the loops i[k] and j[k], for reduced vertex sets pts (m, N, 2).
 
-    The pairs meet in blocks of `_DISTANCE_BLOCK` as (k, N, N) arrays per
-    coordinate. The vertices are reduced mod 1 once, so coordinate gaps lie in
-    [0, 1] and need no further reduction; the root is taken after min/max,
-    which it commutes with, so each value equals `loop_distance` exactly.
+    Each directed term h2(A -> B) = max_u min_v gap2(a_u, b_v) comes from a few
+    rows of the N x N table, as in exact Hausdorff algorithms (Taha and Hanbury,
+    IEEE TPAMI 37, 2015). Vertex 0's row gives the shift s to B's nearest vertex;
+    each vertex u gets the bound ub_u = gap2(a_u, b_(u+s) mod N) >= its row's
+    minimum; the `_TOP` vertices with the largest bounds get exact rows. If the
+    largest of their minima reaches every other bound, it is the term; if not,
+    the pair falls back to the full table. Each entry read has the table's
+    bits, min and max are exact, and the root is taken after the max of both
+    directions, so each value equals `loop_distance` exactly. A pair that does
+    not fall back costs 12N gap evaluations instead of N^2.
     """
+    out = np.empty(len(i))
+    fallback = np.zeros(len(i), dtype=bool)
+    n = pts.shape[1]
+    for c in range(0, len(i), _PAIR_CHUNK):
+        ic, jc = i[c:c + _PAIR_CHUNK], j[c:c + _PAIR_CHUNK]
+        k = len(ic)
+        a, b = pts[np.concatenate([ic, jc])], pts[np.concatenate([jc, ic])]
+        rows = np.arange(2 * k)[:, None]
+        shift = np.argmin(_gaps_sq(a[:, :1], b), axis=1)
+        ub = _gaps_sq(a, b[rows, (np.arange(n) + shift[:, None]) % n])
+        top = np.empty((2 * k, _TOP), dtype=int)
+        for t in range(_TOP):  # not np.argpartition, whose first call raises peak memory
+            top[:, t] = np.argmax(ub, axis=1)
+            ub[rows[:, 0], top[:, t]] = -1.0
+        h2 = _gaps_sq(a[rows, top][:, :, None], b[:, None]).min(axis=2).max(axis=1)
+        out[c:c + k] = np.sqrt(np.maximum(h2[:k], h2[k:]))
+        fallback[c:c + k] = (h2 < ub.max(axis=1)).reshape(2, k).any(axis=0)
+    f = np.flatnonzero(fallback)
+    out[f] = _table_distances(pts, i[f], j[f])
+    return out
+
+
+def _table_distances(pts: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """`_pair_distances` from the full N x N tables, in blocks of `_DISTANCE_BLOCK` pairs."""
     out = np.empty(len(i))
     for s in range(0, len(i), _DISTANCE_BLOCK):
         a, b = pts[i[s:s + _DISTANCE_BLOCK]], pts[j[s:s + _DISTANCE_BLOCK]]
-        dx = np.abs(a[:, :, None, 0] - b[:, None, :, 0])
-        dy = np.abs(a[:, :, None, 1] - b[:, None, :, 1])
-        dx = np.minimum(dx, 1.0 - dx)
-        dy = np.minimum(dy, 1.0 - dy)
-        sq = dx * dx + dy * dy
+        sq = _gaps_sq(a[:, :, None], b[:, None])
         out[s:s + _DISTANCE_BLOCK] = np.sqrt(np.maximum(sq.min(axis=2).max(axis=1),
                                                         sq.min(axis=1).max(axis=1)))
     return out
@@ -421,14 +461,15 @@ def _spread_links(loops: list[DiscreteLoop], tol: float) -> tuple[float, np.ndar
        such pairs are computed in one batch. Every other pair is linked iff
        ub <= tol.
 
-    eps covers rounding. Let u = 2^-53, the unit roundoff. Coordinates lie in
-    [0, 1], so each coordinate gap of `_pair_distances` is within u of the
-    exact torus gap, and distances are at most sqrt(0.5), so the square, sum
-    and root add at most 2u more; min and max add nothing, as the root is
-    monotone. Each computed distance is thus within 3u of the exact Hausdorff
-    distance of the reduced vertex sets, which obeys the triangle inequality,
-    and the bounds' own difference or sum and the shift by eps add at most
-    3u. So lb < d_ij < ub holds for the computed d_ij, with eps - 12u to
+    eps covers rounding. Let u = 2^-53, the unit roundoff. `_pair_distances`
+    returns the full table's value bit for bit, whichever rows it reads, so
+    the table's rounding is all there is. Coordinates lie in [0, 1], so each
+    coordinate gap of the table is within u of the exact torus gap, and
+    distances are at most sqrt(0.5), so the square, sum and root add at most
+    2u more; min and max add nothing, as the root is monotone. Each computed
+    distance is thus within 3u of the exact Hausdorff distance of the reduced
+    vertex sets, which obeys the triangle inequality, and the bounds' own
+    difference or sum and the shift by eps add at most 3u. So lb < d_ij < ub holds for the computed d_ij, with eps - 12u to
     spare. Hence a pruned pair's link is that of its computed distance, a
     pair left out of the maximum computes below top, and the spread is the
     full table's maximum, bit for bit. In the worst case every pair is

@@ -1,4 +1,6 @@
 """Action descent: ground truths, gradients, multiplicity reports, speed caps."""
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,7 +26,8 @@ from torusgeo import (
 from torusgeo.errors import InputDomainError, MalformedLoopError, TrivialClassError
 from torusgeo.fourier import Fourier2D
 from torusgeo.metrics import RiemannianMetric
-from torusgeo.solver import _descend, _evaluate, _single_linkage, _spread_links, _starts
+from torusgeo.solver import (_descend, _evaluate, _pair_distances, _single_linkage, _spread_links,
+                             _starts)
 
 CFG = SolverConfig(n_vertices=64, max_iters=2000, grad_tol=1e-7, seed=0)
 
@@ -378,6 +381,26 @@ def test_uniqueness_seed_46_passes_every_check():
     assert [r["n_failed"] for r in records] == [0, 0, 0, 0]
 
 
+@functools.cache
+def _uniqueness_checks(n):
+    from torusgeo.experiments import run_uniqueness
+    return run_uniqueness({"solver.n_vertices": n}, 0)[1]
+
+
+@pytest.mark.parametrize("n", [32, 48])
+def test_uniqueness_at_coarse_n_passes_every_other_check(n):
+    checks = dict(_uniqueness_checks(n))
+    del checks["perturbed_spread_small"]
+    assert all(checks.values()), checks
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP 'Fix first': the vertex-set loop distance reads "
+                   "the vertex offset 1/(2N) between trough lines as spread")
+@pytest.mark.parametrize("n", [32, 48])
+def test_uniqueness_at_coarse_n_perturbed_spread_small(n):
+    assert _uniqueness_checks(n)["perturbed_spread_small"]
+
+
 # -- loop_distance ------------------------------------------------------------------
 
 def test_loop_distance_identical_and_translates():
@@ -492,6 +515,141 @@ def test_spread_links_computes_few_pairs(monkeypatch):
     run_uniqueness({}, 1)
     assert sizes == [50, 50, 50, 50]
     assert max(counts) <= 400, counts
+
+
+@functools.cache
+def _kept_loops(seed, n):
+    """The loop sets that `uniqueness` keeps at its four t, default config but N = n."""
+    from torusgeo import solver
+    from torusgeo.experiments import run_uniqueness
+    sets, real = [], solver._spread_links
+
+    def links(loops, tol):
+        sets.append(loops)
+        return real(loops, tol)
+
+    solver._spread_links = links
+    try:
+        run_uniqueness({"solver.n_vertices": n}, seed)
+    finally:
+        solver._spread_links = real
+    return sets
+
+
+def _scrambled():
+    """20 lines at random heights and phases, each vertex order permuted, so the
+    index-aligned bounds of `_pair_distances` are useless."""
+    rng = np.random.default_rng(5)
+    return [DiscreteLoop(line.vertices[rng.permutation(64)], (1, 0))
+            for line in _lines(rng.random(20), rng.random(20) / 64)]
+
+
+def _min_vertices():
+    """12 jittered (1, 1) loops at N = MIN_VERTICES = 8, twice `_TOP`."""
+    rng = np.random.default_rng(6)
+    return [DiscreteLoop(DiscreteLoop.straight((1, 1), 8, offset=rng.random(2)).vertices
+                         + rng.uniform(-0.05, 0.05, (8, 2)), (1, 1)) for _ in range(12)]
+
+
+def _ties():
+    """A line, a duplicate, a copy rolled by one vertex and one shifted by one vertex."""
+    line = _lines([0.3])[0]
+    return [line, DiscreteLoop(line.vertices, (1, 0)),
+            DiscreteLoop(np.roll(line.vertices, 1, axis=0), (1, 0)),
+            DiscreteLoop(line.vertices + [1 / 64, 0.0], (1, 0))]
+
+
+def _one_sided():
+    """A line and a copy with vertex 0 on the line's vertex 32 and vertex 40 lifted 0.1
+    above vertex 8: from the line every aligned bound is tight, from the copy each
+    but vertex 40's is loose, so only the direction with the larger term falls back."""
+    line = _lines([0.3])[0]
+    copy = line.vertices.copy()
+    copy[0], copy[40] = line.vertices[32], line.vertices[8] + [0.0, 0.1]
+    return [line, DiscreteLoop(copy, (1, 0))]
+
+
+def _reduced(loops):
+    return np.mod(np.stack([lp.vertices for lp in loops]), 1.0)
+
+
+# the spread-links sets above reach `_pair_distances` through `_spread_links`
+_PAIR_SETS = {"wrap": _wrap_loops, "scrambled": _scrambled, "min-vertices": _min_vertices,
+              "ties": _ties, "one-sided": _one_sided}
+
+
+@pytest.mark.parametrize("name", list(_PAIR_SETS))
+def test_pair_distances_equal_loop_distance(name):
+    loops = _PAIR_SETS[name]()
+    i, j = np.indices((len(loops), len(loops))).reshape(2, -1)  # self pairs included
+    d = _pair_distances(_reduced(loops), i, j)
+    assert np.array_equal(d, [loop_distance(loops[a], loops[b]) for a, b in zip(i, j)])
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("n", [32, 64, 128])
+def test_pair_distances_equal_loop_distance_on_kept_loops(seed, n):
+    # every pair i <= j against the full tables, and the row of loop 0 and every
+    # 29th pair against loop_distance itself, which is too slow for all of them
+    from torusgeo import solver
+    for loops in _kept_loops(seed, n):
+        pts = _reduced(loops)
+        i, j = np.triu_indices(len(loops))
+        d = _pair_distances(pts, i, j)
+        assert np.array_equal(d, solver._table_distances(pts, i, j))
+        some = (i == 0) | (np.arange(len(i)) % 29 == 0)
+        assert np.array_equal(d[some], [loop_distance(loops[a], loops[b])
+                                        for a, b in zip(i[some], j[some])])
+
+
+def test_pair_distances_batch_crosses_chunks():
+    loops = _continuum_21()
+    i, j = np.random.default_rng(7).integers(len(loops), size=(2, 101))
+    d = _pair_distances(_reduced(loops), i, j)
+    assert np.array_equal(d, [loop_distance(loops[a], loops[b]) for a, b in zip(i, j)])
+    empty = np.zeros(0, dtype=int)
+    assert _pair_distances(_reduced(loops), empty, empty).shape == (0,)
+
+
+def _fallback_pairs(monkeypatch):
+    """A list that collects the pair count of each full-table fallback call."""
+    from torusgeo import solver
+    counts = []
+
+    def table(pts, i, j, _real=solver._table_distances):
+        counts.append(len(i))
+        return _real(pts, i, j)
+
+    monkeypatch.setattr(solver, "_table_distances", table)
+    return counts
+
+
+@pytest.mark.parametrize("name, fallback", [("heights", "none"), ("phases", "none"),
+                                            ("continuum-21", "none"), ("wrap", "some"),
+                                            ("scrambled", "all"), ("one-sided", "all")])
+def test_pair_distances_fall_back_to_the_full_table(monkeypatch, name, fallback):
+    # a pair costs about 12N gap evaluations unless it falls back to N^2
+    loops = {**_LOOP_SETS, **_PAIR_SETS}[name]()
+    i, j = np.triu_indices(len(loops), 1)
+    counts = _fallback_pairs(monkeypatch)
+    _pair_distances(_reduced(loops), i, j)
+    assert {"none": sum(counts) == 0, "some": sum(counts) >= 1,
+            "all": sum(counts) == len(i)}[fallback], counts
+
+
+def test_uniqueness_never_falls_back_to_the_full_table(monkeypatch):
+    from torusgeo import solver
+    from torusgeo.experiments import run_uniqueness
+    counts = _fallback_pairs(monkeypatch)
+    computed = []
+
+    def pairs(pts, i, j, _real=solver._pair_distances):
+        computed.append(len(i))
+        return _real(pts, i, j)
+
+    monkeypatch.setattr(solver, "_pair_distances", pairs)
+    run_uniqueness({}, 1)
+    assert sum(computed) > 0 and sum(counts) == 0, counts
 
 
 def test_loop_distance_rejects_winding_mismatch():
