@@ -12,15 +12,22 @@ from .errors import ConfigError
 
 
 def parse_config(text: str) -> dict[str, str]:
+    """The file's keys and values; a key given twice or an empty key is an error."""
     out: dict[str, str] = {}
+    seen: dict[str, int] = {}  # each key's line
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if not key:
+            raise ConfigError(f"line {lineno}: empty key in {raw!r}")
+        if key in seen:
+            raise ConfigError(f"line {lineno}: key {key!r} already given on line {seen[key]}")
+        seen[key] = lineno
+        out[key] = value
     return out
 
 

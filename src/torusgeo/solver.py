@@ -5,10 +5,13 @@ under reparametrization, while action minimizers are constant-speed length
 minimizers (Cauchy-Schwarz equality). The descent is limited-memory BFGS
 (Nocedal & Wright, *Numerical Optimization*, ch. 7) whose initial inverse
 Hessian is a multiple of the inverse loop Laplacian: a Sobolev
-preconditioner, solved per coordinate with the FFT, which removes the N^2
-stiffness of the fine vertex modes, while the pairs learn the slow modes the
-metric adds (on a bump, the transverse one). The stopping test stays on the
-raw gradient.
+preconditioner, which removes the N^2 stiffness of the fine vertex modes,
+while the pairs learn the slow modes the metric adds (on a bump, the
+transverse one). The stopping test stays on the raw gradient. One iteration's
+linear algebra is a few matrix products: the two-loop recursion reads each
+start's inner products of its pairs, and the preconditioner is a dense N x N
+matrix, O(N^2) in memory and time, which at the N the experiments use (at
+most 128) is faster than the FFT.
 
 A trial step starts at 1 and shrinks by `_STEP_SHRINK` until it passes
 Armijo's test (the action drops by `_ARMIJO` times the step times the
@@ -116,26 +119,32 @@ def action_gradient(metric: FinslerMetric, loop: DiscreteLoop) -> np.ndarray:
     return _evaluate(metric, loop.vertices[None], loop.winding)[1][0]
 
 
-def _precond_factors(n: int, kappa: float) -> np.ndarray:
-    """FFT symbol of kappa * (c*I + 2n*L), L the loop Laplacian, c = `_PRECOND_SHIFT`.
+def _precond_inverse(n: int, kappa: float) -> np.ndarray:
+    """P^-1 as a dense symmetric n x n circulant, P = kappa * (c*I + 2n*L), L the
+    loop Laplacian, c = `_PRECOND_SHIFT`.
 
-    This is the Hessian of the flat action up to the constant c, which keeps
-    the translation modes (the Laplacian kernel) controllable; kappa absorbs
-    how far the metric's curvature can exceed the flat one.
+    P is the Hessian of the flat action up to the constant c, which keeps the
+    translation modes (the Laplacian kernel) controllable; kappa absorbs how
+    far the metric's curvature can exceed the flat one. P's FFT symbol is
+    kappa * (c + 2n(2 - 2 cos(2 pi k / n))); P^-1's first column is the inverse
+    FFT of its reciprocal, and entry (i, j) reads that column at the cyclic
+    distance of i and j, so the matrix is symmetric bit for bit. It holds n^2
+    floats, and one application costs O(n^2) per coordinate against the
+    FFT's O(n log n). Measured on a 2-core machine at 50 starts and one BLAS
+    thread, the product takes 25 us against the FFT's 75 us at n = 64 and
+    0.44 ms against 0.54 ms at n = 256, but 1.9 ms against 0.67 ms at n = 512.
     """
     k = np.arange(n)
     lam = 2.0 * n * (2.0 - 2.0 * np.cos(2.0 * np.pi * k / n))
-    return kappa * (lam + _PRECOND_SHIFT)
+    column = np.fft.ifft(1.0 / (kappa * (lam + _PRECOND_SHIFT))).real
+    gap = np.abs(k[:, None] - k)
+    return column[np.minimum(gap, n - gap)]
 
 
-def _precondition(g: np.ndarray, symbol: np.ndarray) -> np.ndarray:
-    """Divide g, shape (S, N, 2), by the preconditioner's FFT symbol along the vertex axis.
-
-    The transforms run on contiguous rows of length N, which is about three
-    times faster than striding along axis 1 and gives the same values.
-    """
-    rows = np.ascontiguousarray(g.transpose(0, 2, 1))
-    return np.real(np.fft.ifft(np.fft.fft(rows) / symbol)).transpose(0, 2, 1)
+def _precondition(g: np.ndarray, pinv: np.ndarray) -> np.ndarray:
+    """P^-1 g for g of shape (S, N, 2): one matmul of the dense (N, N) P^-1 with each
+    start's (N, 2) block, so each start's bits do not depend on the others."""
+    return np.matmul(pinv, g)
 
 
 @dataclass
@@ -164,26 +173,57 @@ def _sup(g: np.ndarray) -> np.ndarray:
     return _rows(np.abs(g)).max(axis=1)
 
 
-def _lbfgs_direction(g, live, mem_s, mem_y, rho, gamma, symbol) -> np.ndarray:
+def _pair_rows(mem: np.ndarray) -> np.ndarray:
+    """A pair memory (S, m, N, 2) as its (S, m, 2N) view: each stored vector one row."""
+    return mem.reshape(mem.shape[:2] + (mem.shape[2] * mem.shape[3],))
+
+
+def _scatter(a: np.ndarray, live: np.ndarray, n_starts: int) -> np.ndarray:
+    """The rows a of the starts `live`, placed in zeros for all n_starts starts."""
+    out = np.zeros((n_starts,) + a.shape[1:])
+    out[live] = a
+    return out
+
+
+def _lbfgs_direction(g, live, mem_s, mem_y, rho, gamma, pinv) -> np.ndarray:
     """H g for the starts `live`, H their L-BFGS inverse Hessian with H0 = gamma * P^-1.
 
-    This is the two-loop recursion (Nocedal & Wright, Algorithm 7.4). mem_s
-    and mem_y, shape (S, m, N, 2), hold each start's (s, y) pairs newest
-    first; rho = 1 / s.y, shape (S, m), is 0 in a slot holding no pair, which
-    then changes nothing.
+    This is the two-loop recursion (Nocedal & Wright, Algorithm 7.4), read
+    from inner products as in vector-free L-BFGS (Chen, Wang and Zhou, NIPS
+    2014). mem_s and mem_y, shape (S, m, N, 2), hold each start's (s, y)
+    pairs newest first; rho = 1 / s.y, shape (S, m), is 0 in a slot holding
+    no pair, which then changes nothing. With q = g - sum_j alpha_j y_j and
+    r = gamma P^-1 q, the recursions need only s_k.y_j, s_k.g and y_k.r:
+
+        alpha_k = rho_k (s_k.g - sum_{j<k} alpha_j s_k.y_j),
+        beta_k = rho_k (y_k.r + sum_{j>k} (alpha_j - beta_j) y_k.s_j),
+        H g = r + sum_k (alpha_k - beta_k) s_k.
+
+    The products are batched matmuls on views of the whole memory, whose live
+    rows are read afterwards: gathering mem_s[live] would copy it. They run
+    over all m slots, not only the filled ones, because a BLAS sum groups its
+    terms by their count: a start whose batch held more pairs than it does
+    would not get the bits it gets alone.
     """
-    rho, gamma = rho[live], gamma[live]
-    used = int((rho > 0).sum(axis=1).max())
-    q = g.copy()
-    alpha = np.empty((len(g), used))
-    for k in range(used):
-        alpha[:, k] = rho[:, k] * _dot(mem_s[live, k], q)
-        q -= alpha[:, k, None, None] * mem_y[live, k]
-    r = gamma[:, None, None] * _precondition(q, symbol)
-    for k in reversed(range(used)):
-        beta = rho[:, k] * _dot(mem_y[live, k], r)
-        r += (alpha[:, k] - beta)[:, None, None] * mem_s[live, k]
-    return r
+    n_starts, m = rho.shape
+    s, y = _pair_rows(mem_s), _pair_rows(mem_y)
+    rho = rho[live]
+    sy = np.matmul(s, y.transpose(0, 2, 1))[live]  # sy[:, k, j] = s_k . y_j
+    sg = np.matmul(s, _scatter(_rows(g), live, n_starts)[:, :, None])[live, :, 0]
+    # the sums over j enter sg[:, k] and yr[:, k] one term per step, in the
+    # order the recursion on vectors subtracts and adds its pairs
+    alpha = np.empty((len(live), m))
+    for k in range(m):
+        alpha[:, k] = rho[:, k] * sg[:, k]
+        sg -= alpha[:, k, None] * sy[:, :, k]
+    q = g - np.matmul(_scatter(alpha, live, n_starts)[:, None], y)[live, 0].reshape(g.shape)
+    r = gamma[live, None, None] * _precondition(q, pinv)
+    yr = np.matmul(y, _scatter(_rows(r), live, n_starts)[:, :, None])[live, :, 0]
+    coef = np.empty_like(alpha)  # alpha - beta
+    for k in reversed(range(m)):
+        coef[:, k] = alpha[:, k] - rho[:, k] * yr[:, k]
+        yr += coef[:, k, None] * sy[:, k]
+    return r + np.matmul(_scatter(coef, live, n_starts)[:, None], s)[live, 0].reshape(g.shape)
 
 
 def _accepted(a, an, step, slope, slope_new) -> np.ndarray:
@@ -206,7 +246,9 @@ def _descend(metric: FinslerMetric, winding: tuple[int, int], config: SolverConf
 
     Each start takes preconditioned L-BFGS steps: `_MEMORY` (s, y) pairs and
     the initial inverse Hessian gamma * P^-1, P the Sobolev preconditioner
-    and gamma = s.y / y.P^-1 y of the newest pair (1 with no pair). A step
+    and gamma = s.y / y.P^-1 y of the newest pair (1 with no pair). P^-1 is
+    built once per call as a dense N x N matrix (`_precond_inverse`), which
+    takes O(N^2) memory and makes each application an O(N^2) product. A step
     whose direction is not a descent direction, or a start with no pairs,
     uses P^-1 g: a plain step. The trial step starts at 1 and shrinks by
     `_STEP_SHRINK` until `_accepted`: Armijo's test, or the approximate Wolfe
@@ -226,7 +268,7 @@ def _descend(metric: FinslerMetric, winding: tuple[int, int], config: SolverConf
     Each start keeps its own step, tests, pairs and iteration count, exactly
     as if it ran alone. Each trial is evaluated with its gradient, and the
     accepted trial's gradient serves the next iteration, so an iteration
-    costs about one metric kernel call. Memory is O(S * N * `_MEMORY`). The
+    costs about one metric kernel call. Memory is O(S * N * `_MEMORY` + N^2). The
     final iterates are reparametrized as one batch (`reparametrize_rows`),
     which also gives each start's reported length and action.
     """
@@ -234,7 +276,7 @@ def _descend(metric: FinslerMetric, winding: tuple[int, int], config: SolverConf
     _require_finite(x)
     n_starts, n = x.shape[:2]
     kappa = comparison_constant(metric) ** 2
-    symbol = _precond_factors(n, kappa)
+    pinv = _precond_inverse(n, kappa)
     a, grad = _evaluate(metric, x, winding)
     histories = [[float(ai)] for ai in a]
     mem_s = np.zeros((n_starts, _MEMORY, n, 2))
@@ -255,12 +297,12 @@ def _descend(metric: FinslerMetric, winding: tuple[int, int], config: SolverConf
         live, g = live[~done], g[~done]
         if not len(live):
             break
-        d = _lbfgs_direction(g, live, mem_s, mem_y, rho, gamma, symbol)
+        d = _lbfgs_direction(g, live, mem_s, mem_y, rho, gamma, pinv)
         slope = _dot(g, d)
         plain = rho[live, 0] == 0.0
         bad = slope <= 0.0
         if bad.any():
-            d[bad] = _precondition(g[bad], symbol)
+            d[bad] = _precondition(g[bad], pinv)
             slope[bad] = _dot(g[bad], d[bad])
             plain |= bad
         s = np.ones(len(live))
@@ -280,7 +322,7 @@ def _descend(metric: FinslerMetric, winding: tuple[int, int], config: SolverConf
             an, gn = _evaluate(metric, xn, winding)
             ok = _accepted(a[idx], an, s[pending], slope[pending], _dot(gn, d[pending]))
             _store_pairs(idx[ok], xn[ok] - x[idx[ok]], gn[ok] - grad[idx[ok]],
-                         mem_s, mem_y, rho, gamma, symbol)
+                         mem_s, mem_y, rho, gamma, pinv)
             x[idx[ok]], a[idx[ok]], grad[idx[ok]] = xn[ok], an[ok], gn[ok]
             accepted[pending[ok]] = True
             pending = pending[~ok]
@@ -293,7 +335,7 @@ def _descend(metric: FinslerMetric, winding: tuple[int, int], config: SolverConf
         stalled[live[~accepted & plain]] = True
         live = live[accepted | retry]
 
-    _polish(metric, winding, config, np.flatnonzero(converged), x, a, grad, symbol, histories)
+    _polish(metric, winding, config, np.flatnonzero(converged), x, a, grad, pinv, histories)
     pts, _, (total, a_out) = reparametrize_rows(metric, x, winding, n)
     results = []
     for i, out in enumerate(pts):
@@ -304,7 +346,7 @@ def _descend(metric: FinslerMetric, winding: tuple[int, int], config: SolverConf
     return results
 
 
-def _store_pairs(idx, s, y, mem_s, mem_y, rho, gamma, symbol) -> None:
+def _store_pairs(idx, s, y, mem_s, mem_y, rho, gamma, pinv) -> None:
     """Push each (s, y) with s.y > 0 as start idx's newest pair, dropping its oldest."""
     sy = _dot(s, y)
     keep = sy > 0.0
@@ -316,10 +358,10 @@ def _store_pairs(idx, s, y, mem_s, mem_y, rho, gamma, symbol) -> None:
         mem[idx, 0] = new
     rho[idx, 1:] = rho[idx, :-1]
     rho[idx, 0] = 1.0 / sy
-    gamma[idx] = sy / _dot(y, _precondition(y, symbol))
+    gamma[idx] = sy / _dot(y, _precondition(y, pinv))
 
 
-def _polish(metric, winding, config, idx, x, a, grad, symbol, histories) -> None:
+def _polish(metric, winding, config, idx, x, a, grad, pinv, histories) -> None:
     """Up to `_POLISH_STEPS` unit plain steps from the converged starts idx, in place.
 
     A step is kept when `_accepted` holds and the new gradient's sup-norm is
@@ -329,7 +371,7 @@ def _polish(metric, winding, config, idx, x, a, grad, symbol, histories) -> None
         if not len(idx):
             break
         g = grad[idx]
-        d = _precondition(g, symbol)
+        d = _precondition(g, pinv)
         xn = x[idx] - d
         an, gn = _evaluate(metric, xn, winding)
         ok = (_accepted(a[idx], an, 1.0, _dot(g, d), _dot(gn, d))
@@ -558,12 +600,13 @@ def _starts(winding: tuple[int, int], config: SolverConfig) -> np.ndarray:
     gnorm = min_reference_length(winding)
     normal = np.array([-winding[1], winding[0]], float) / gnorm
     shape = (config.n_vertices, 2)
+    # the lift `DiscreteLoop.straight` builds, without a loop object per start
+    line = np.arange(config.n_vertices)[:, None] / config.n_vertices * np.asarray(winding, float)
     x0 = np.empty((config.num_starts,) + shape)
     for k in range(config.num_starts):
         offset = ((k + rng.random()) / config.num_starts) * normal \
             + rng.uniform(-_JITTER, _JITTER, size=2)
-        base = DiscreteLoop.straight(winding, config.n_vertices, offset=offset)
-        x0[k] = base.vertices + rng.uniform(-_JITTER, _JITTER, size=shape)
+        x0[k] = offset + line + rng.uniform(-_JITTER, _JITTER, size=shape)
     return x0
 
 

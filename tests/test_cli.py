@@ -252,7 +252,11 @@ def test_run_unread_key_exits_2(tmp_path, capsys, text, flags, unread):
     ("experiment = uniqueness\nsolver.grad_tol = tiny\n", [],
      "key 'solver.grad_tol': not a number"),
     ("experiment = uniqueness\n", ["--override", "foo"], "--override expects KEY=VALUE"),
-], ids=["float-list", "float", "override"])
+    # not last-wins: the echo would show one of two values
+    ("experiment = speed-cap\nseed = 1\nseed = 2\n", [],
+     "line 3: key 'seed' already given on line 2"),
+    ("experiment = speed-cap\n = 5\n", [], "line 2: empty key"),
+], ids=["float-list", "float", "override", "duplicate-key", "empty-key"])
 def test_run_malformed_value_exits_2(tmp_path, capsys, text, flags, message):
     cfg = write(tmp_path, "bad.cfg", text)
     out = tmp_path / "bad.jsonl"

@@ -26,8 +26,9 @@ from torusgeo import (
 from torusgeo.errors import InputDomainError, MalformedLoopError, TrivialClassError
 from torusgeo.fourier import Fourier2D
 from torusgeo.metrics import RiemannianMetric
-from torusgeo.solver import (_descend, _evaluate, _pair_distances, _single_linkage, _spread_links,
-                             _starts)
+from torusgeo.solver import (_JITTER, _MEMORY, _PRECOND_SHIFT, _descend, _dot, _evaluate,
+                             _lbfgs_direction, _pair_distances, _precond_inverse, _precondition,
+                             _single_linkage, _spread_links, _starts)
 
 CFG = SolverConfig(n_vertices=64, max_iters=2000, grad_tol=1e-7, seed=0)
 
@@ -332,6 +333,111 @@ def test_non_finite_trial_step_raises():
     cfg = SolverConfig(n_vertices=32, num_starts=3, seed=1)
     with pytest.raises(MalformedLoopError):
         minimizer_set(_SteepMetric(np.nan), (1, 0), cfg)
+
+
+def reference_direction(g, live, mem_s, mem_y, rho, gamma, pinv):
+    """The two-loop recursion one pair at a time on (live, N, 2) vectors, as the
+    solver computed it before it read the recursion from inner products."""
+    rho, gamma = rho[live], gamma[live]
+    used = int((rho > 0).sum(axis=1).max())
+    q = g.copy()
+    alpha = np.empty((len(g), used))
+    for k in range(used):
+        alpha[:, k] = rho[:, k] * _dot(mem_s[live, k], q)
+        q -= alpha[:, k, None, None] * mem_y[live, k]
+    r = gamma[:, None, None] * _precondition(q, pinv)
+    for k in reversed(range(used)):
+        beta = rho[:, k] * _dot(mem_y[live, k], r)
+        r += (alpha[:, k] - beta)[:, None, None] * mem_s[live, k]
+    return r
+
+
+def spd_memory(n, counts, seed):
+    """Pair memories of len(counts) starts, start i holding counts[i] pairs newest
+    first, and the slots past them stale pairs with rho = 0, as after a cleared
+    memory. Each y is A s for one random SPD Hessian A (eigenvalues in [1, 10])
+    plus noise, so that, as on a non-quadratic action, s_k.y_j != s_j.y_k."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((2 * n, 2 * n)))
+    hess = (q * rng.uniform(1.0, 10.0, 2 * n)) @ q.T
+    mem_s = rng.standard_normal((len(counts), _MEMORY, n, 2))
+    mem_y = (mem_s.reshape(len(counts), _MEMORY, 2 * n) @ hess).reshape(mem_s.shape)
+    mem_y += 0.5 * rng.standard_normal(mem_y.shape)
+    sy = (mem_s * mem_y).sum(axis=(2, 3))
+    assert sy.min() > 0.0
+    rho = np.where(np.arange(_MEMORY) < np.array(counts)[:, None], 1.0 / sy, 0.0)
+    pinv = _precond_inverse(n, 1.3)
+    gamma = np.ones(len(counts))
+    for i, c in enumerate(counts):
+        if c:
+            y0 = mem_y[i, 0][None]
+            gamma[i] = sy[i, 0] / _dot(y0, _precondition(y0, pinv))[0]
+    return mem_s, mem_y, rho, gamma, pinv, rng
+
+
+@pytest.mark.parametrize("live", [None, [0, 3, 4, 8], [5], [0]],
+                         ids=["all", "subset", "start-5", "start-0"])
+def test_lbfgs_direction_matches_the_two_loop_recursion(live):
+    # every memory from empty to full, eight and nine starts; against the
+    # one-pair-at-a-time recursion to 1e-12 relative
+    n = 32
+    for counts, seed in (((0, 1, 2, 3, 4, 5, 6, 7, 8), 1), ((8, 3, 8, 0, 5, 8, 1, 2, 7), 2)):
+        mem_s, mem_y, rho, gamma, pinv, rng = spd_memory(n, counts, seed)
+        idx = np.arange(len(counts)) if live is None else np.array(live)
+        g = rng.standard_normal((len(idx), n, 2))
+        d = _lbfgs_direction(g, idx, mem_s, mem_y, rho, gamma, pinv)
+        ref = reference_direction(g, idx, mem_s, mem_y, rho, gamma, pinv)
+        assert d.shape == g.shape
+        scale = np.abs(ref).reshape(len(idx), -1).max(axis=1)
+        err = np.abs(d - ref).reshape(len(idx), -1).max(axis=1)
+        assert np.all(err <= 1e-12 * scale)
+
+
+def test_lbfgs_direction_of_a_start_ignores_the_others():
+    # bit for bit, a start's direction is the one it gets alone, whatever the
+    # memories of the starts beside it hold
+    n = 32
+    mem_s, mem_y, rho, gamma, pinv, rng = spd_memory(n, (8, 2, 0, 5, 8), 3)
+    g = rng.standard_normal((5, n, 2))
+    batch = _lbfgs_direction(g, np.arange(5), mem_s, mem_y, rho, gamma, pinv)
+    for i in range(5):
+        alone = _lbfgs_direction(g[i:i + 1], np.array([0]), mem_s[i:i + 1], mem_y[i:i + 1],
+                                 rho[i:i + 1], gamma[i:i + 1], pinv)
+        assert np.array_equal(batch[i], alone[0])
+
+
+@pytest.mark.parametrize("n", [32, 63, 64, 97, 128])
+def test_dense_preconditioner_inverts_the_sobolev_operator(n):
+    kappa = 1.7
+    pinv = _precond_inverse(n, kappa)
+    assert pinv.shape == (n, n)
+    assert np.array_equal(pinv, pinv.T)
+    # P = kappa * (c I + 2n L), L the cyclic second difference
+    lap = 2.0 * np.eye(n) - np.roll(np.eye(n), 1, axis=0) - np.roll(np.eye(n), -1, axis=0)
+    p = kappa * (_PRECOND_SHIFT * np.eye(n) + 2.0 * n * lap)
+    assert np.abs(p @ pinv - np.eye(n)).max() <= 1e-12
+    # the same values as dividing by P's FFT symbol along the vertex axis
+    k = np.arange(n)
+    symbol = kappa * (2.0 * n * (2.0 - 2.0 * np.cos(2.0 * np.pi * k / n)) + _PRECOND_SHIFT)
+    g = np.random.default_rng(n).standard_normal((5, n, 2))
+    ref = np.real(np.fft.ifft(np.fft.fft(g, axis=1) / symbol[:, None], axis=1))
+    assert np.abs(_precondition(g, pinv) - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("winding, n, starts, seed", [
+    ((1, 0), 64, 50, 1), ((2, 1), 37, 7, 5), ((-1, 3), 32, 3, 0), ((0, 1), 128, 1, 9)])
+def test_starts_are_the_jittered_straight_loops(winding, n, starts, seed):
+    # the same draws in the same order as building each start from
+    # `DiscreteLoop.straight`, bit for bit
+    cfg = SolverConfig(n_vertices=n, num_starts=starts, seed=seed)
+    rng = np.random.default_rng(seed)
+    normal = np.array([-winding[1], winding[0]], float) / min_reference_length(winding)
+    want = []
+    for k in range(starts):
+        offset = ((k + rng.random()) / starts) * normal + rng.uniform(-_JITTER, _JITTER, size=2)
+        base = DiscreteLoop.straight(winding, n, offset=offset)
+        want.append(base.vertices + rng.uniform(-_JITTER, _JITTER, size=(n, 2)))
+    assert np.array_equal(_starts(winding, cfg), np.array(want))
 
 
 # -- convergence on generic factors and small bumps -------------------------------------
