@@ -153,6 +153,17 @@ class Fourier2D:
         return float(TWO_PI * sum(np.hypot(*k) * np.hypot(a, b)
                                   for k, (a, b) in self.modes.items()))
 
+    def hessian_bound(self) -> float:
+        """Certified sup of the Hessian's operator norm: sum_k (2 pi |k|)^2 sqrt(a^2 + b^2).
+
+        Mode k's Hessian is -(2 pi)^2 k k^T times the mode itself, of norm
+        (2 pi |k|)^2 |a cos + b sin| <= (2 pi |k|)^2 sqrt(a^2 + b^2), so the sum
+        bounds the Hessian everywhere; for a single mode it is the sup itself.
+        The descent's preconditioner reads it (`metrics.translation_curvature`).
+        """
+        return float(sum((TWO_PI * np.hypot(*k)) ** 2 * np.hypot(a, b)
+                         for k, (a, b) in self.modes.items()))
+
     def coefficients_equal(self, other: "Fourier2D", tol: float = 0.0) -> bool:
         keys = set(self.modes) | set(other.modes)
         if abs(self.const - other.const) > tol:

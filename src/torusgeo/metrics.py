@@ -83,7 +83,13 @@ class FinslerMetric:
     shared pass (`fourier.FieldPass`), so a composite metric such as a
     conformal rescaling evaluates its own fields and its base's together,
     each once. A field without modes is used as its Python float.
+
+    `comparison_constant` and `translation_curvature` are kept on the
+    instance once computed: a metric's fields are fixed after `__init__`.
     """
+
+    _comparison: float | None = None
+    _curvature: float | None = None
 
     def _fields(self, grads: bool) -> tuple[Fourier2D, ...]:
         """The series read by `_speed` (grads=False) or `_kernel` (grads=True), in order."""
@@ -97,6 +103,11 @@ class FinslerMetric:
 
     def _norm_bounds(self) -> tuple[float, float]:
         """Certified lo, hi with lo |v| <= F(x, v) <= hi |v| everywhere, from the coefficients."""
+        raise NotImplementedError
+
+    def _translation_bounds(self) -> tuple[float, float]:
+        """Certified g, h with |grad_x F^2(x, v)| <= g and |hess_x F^2(x, v)| <= h (operator
+        norm) for every x and unit v, from the coefficients."""
         raise NotImplementedError
 
     def _build_passes(self) -> None:
@@ -163,6 +174,11 @@ class RiemannianMetric(FinslerMetric):
         det = _certify_positive(self._det(), InvalidMetricError, "Riemannian det g")
         return math.sqrt(det / top), math.sqrt(top)
 
+    def _translation_bounds(self):
+        # d F^2 = sum_ij d g_ij v_i v_j, where vx^2 + vy^2 = 1 and 2 |vx vy| <= 1
+        return tuple(max(bound(self.g11), bound(self.g22)) + bound(self.g12)
+                     for bound in (Fourier2D.lipschitz_bound, Fourier2D.hessian_bound))
+
     def _fields(self, grads):
         return (self.g11, self.g12, self.g22) + (self._dg if grads else ())
 
@@ -224,6 +240,22 @@ class RandersMetric(FinslerMetric):
         floor = lo * self._certify_margin() / (2.0 * hi ** 4)
         return max(lo - drift, floor), hi + drift
 
+    def _translation_bounds(self):
+        # F^2 = q + 2 s w + w^2 with q = |v|_g^2, s = sqrt(q) in [lo, hi] and
+        # w = beta.v; b0, b1, b2 bound |w|, |grad_x w| and |hess_x w|, and
+        # grad s = grad q / (2 s):
+        #   grad F^2 = grad q (1 + w/s) + 2 grad w (s + w),
+        #   hess F^2 = hess q (1 + w/s) + grad q (grad w / s - w grad q / (2 s^3))
+        #              + 2 hess w (s + w) + grad w (grad q / s + 2 grad w)
+        lo, hi = self.riemannian._norm_bounds()
+        g, h = self.riemannian._translation_bounds()
+        b0, b1, b2 = (math.hypot(bound(self.beta_x), bound(self.beta_y))
+                      for bound in (Fourier2D.sup_bound, Fourier2D.lipschitz_bound,
+                                    Fourier2D.hessian_bound))
+        return (g * (1.0 + b0 / lo) + 2.0 * b1 * (hi + b0),
+                h * (1.0 + b0 / lo) + b0 * g * g / (2.0 * lo ** 3) + 2.0 * b1 * g / lo
+                + 2.0 * b2 * (hi + b0) + 2.0 * b1 * b1)
+
     def _fields(self, grads):
         return (self.riemannian._fields(grads) + (self.beta_x, self.beta_y)
                 + (self._db if grads else ()))
@@ -277,6 +309,14 @@ class ConformalMetric(FinslerMetric):
         lo, hi = self.base._norm_bounds()
         low = _certify_positive(self.factor, NotAConformalFactorError, "factor")
         return math.sqrt(low) * lo, math.sqrt(self.factor.sup_bound()) * hi
+
+    def _translation_bounds(self):
+        # F^2 = lambda F_b^2, with F_b^2 <= hi_b^2 at |v| = 1
+        hi = self.base._norm_bounds()[1]
+        g, h = self.base._translation_bounds()
+        g_lam, h_lam, top = (self.factor.lipschitz_bound(), self.factor.hessian_bound(),
+                             self.factor.sup_bound())
+        return hi * hi * g_lam + top * g, hi * hi * h_lam + 2.0 * g_lam * g + top * h
 
     def _speed(self, vals, v):
         return np.sqrt(vals[0]) * self.base._speed(vals[1:], v)
@@ -361,13 +401,32 @@ def comparison_constant(metric: FinslerMetric) -> float:
 
     c is the larger of the metric's certified bounds hi and 1/lo on F/|v|
     (`_norm_bounds`): sups from `Fourier2D.sup_bound`, infs from the
-    positivity certificates. It is computed on each call, never when a metric
-    is built. The preconditioner and the speed caps read it.
+    positivity certificates. It is computed on a metric's first call and kept
+    on the metric, never when a metric is built. The preconditioner and the
+    speed caps read it.
     """
-    lo, hi = metric._norm_bounds()
-    if lo < 1e-9:
-        raise InvalidMetricError("metric is degenerate: F/|v| is not certified above 1e-9")
-    return max(hi, 1.0 / lo, 1.0) * _COMPARISON_INFLATION
+    if metric._comparison is None:
+        lo, hi = metric._norm_bounds()
+        if lo < 1e-9:
+            raise InvalidMetricError("metric is degenerate: F/|v| is not certified above 1e-9")
+        metric._comparison = max(hi, 1.0 / lo, 1.0) * _COMPARISON_INFLATION
+    return metric._comparison
+
+
+def translation_curvature(metric: FinslerMetric) -> float:
+    """A certified h >= |hess_x F^2(x, v)| (operator norm) for every x and unit v.
+
+    It comes from the coefficients' `Fourier2D.lipschitz_bound` and
+    `hessian_bound`, through each metric's own bounds on the first and second
+    x-derivatives of F^2 (`_translation_bounds`); on a conformal bump over |.|
+    it is the bump's largest curvature, exact at its trough. For a straight
+    N-vertex loop in class gamma, |gamma|^2 h / N bounds the discrete action's
+    curvature along a rigid translation, and the descent's preconditioner
+    reads it. Like `comparison_constant`, it is kept on the metric.
+    """
+    if metric._curvature is None:
+        metric._curvature = metric._translation_bounds()[1]
+    return metric._curvature
 
 
 def seminorm_distance(f: Fourier2D, g: Fourier2D, k_max: int = 8) -> float:

@@ -4,14 +4,18 @@ The objective is the action A_F, not the length: the length is degenerate
 under reparametrization, while action minimizers are constant-speed length
 minimizers (Cauchy-Schwarz equality). The descent is limited-memory BFGS
 (Nocedal & Wright, *Numerical Optimization*, ch. 7) whose initial inverse
-Hessian is a multiple of the inverse loop Laplacian: a Sobolev
-preconditioner, which removes the N^2 stiffness of the fine vertex modes,
-while the pairs learn the slow modes the metric adds (on a bump, the
-transverse one). The stopping test stays on the raw gradient. One iteration's
-linear algebra is a few matrix products: the two-loop recursion reads each
-start's inner products of its pairs, and the preconditioner is a dense N x N
-matrix, O(N^2) in memory and time, which at the N the experiments use (at
-most 128) is faster than the FFT.
+Hessian is gamma P^-1, P = kappa (c I + 2N L) with L the loop Laplacian: a
+Sobolev preconditioner, which removes the N^2 stiffness of the fine vertex
+modes. Its shift c is not a constant but the certified curvature the metric
+gives a rigid translation of the loop (`metrics.translation_curvature`),
+so P matches the action's zeroth-order term (Neuberger, *Sobolev Gradients
+and Differential Equations*, 1997) and the slow transverse mode of a bump is
+scaled from the first step; the pairs learn the rest. The stopping test
+stays on the raw gradient. One iteration's linear algebra is a few matrix
+products: the two-loop recursion reads each start's inner products of its
+pairs, and the preconditioner is a dense N x N matrix, O(N^2) in memory and
+time, which at the N the experiments use (at most 256) is faster than the
+FFT.
 
 A trial step starts at 1 and shrinks by `_STEP_SHRINK` until it passes
 Armijo's test (the action drops by `_ARMIJO` times the step times the
@@ -36,7 +40,7 @@ from .loops import (
     reparametrize_rows,
     require_nontrivial,
 )
-from .metrics import FinslerMetric, comparison_constant
+from .metrics import FinslerMetric, comparison_constant, translation_curvature
 
 _STEP_SHRINK = 0.5
 _ARMIJO = 1e-4
@@ -47,7 +51,7 @@ _MEMORY = 8  # (s, y) pairs kept per start
 _POLISH_STEPS = 6
 _LENGTH_TOL_REL = 1e-3
 _JITTER = 0.05
-_PRECOND_SHIFT = 0.5
+_PRECOND_FLOOR = 1e-3  # least Sobolev shift c, which keeps P invertible where h = 0
 
 
 @dataclass(frozen=True)
@@ -119,24 +123,26 @@ def action_gradient(metric: FinslerMetric, loop: DiscreteLoop) -> np.ndarray:
     return _evaluate(metric, loop.vertices[None], loop.winding)[1][0]
 
 
-def _precond_inverse(n: int, kappa: float) -> np.ndarray:
+def _precond_inverse(n: int, kappa: float, shift: float) -> np.ndarray:
     """P^-1 as a dense symmetric n x n circulant, P = kappa * (c*I + 2n*L), L the
-    loop Laplacian, c = `_PRECOND_SHIFT`.
+    loop Laplacian, c = shift > 0.
 
-    P is the Hessian of the flat action up to the constant c, which keeps the
-    translation modes (the Laplacian kernel) controllable; kappa absorbs how
-    far the metric's curvature can exceed the flat one. P's FFT symbol is
-    kappa * (c + 2n(2 - 2 cos(2 pi k / n))); P^-1's first column is the inverse
-    FFT of its reciprocal, and entry (i, j) reads that column at the cyclic
-    distance of i and j, so the matrix is symmetric bit for bit. It holds n^2
-    floats, and one application costs O(n^2) per coordinate against the
-    FFT's O(n log n). Measured on a 2-core machine at 50 starts and one BLAS
-    thread, the product takes 25 us against the FFT's 75 us at n = 64 and
-    0.44 ms against 0.54 ms at n = 256, but 1.9 ms against 0.67 ms at n = 512.
+    P is the Hessian of the flat action plus kappa c along every mode; kappa
+    absorbs how far the metric's curvature can exceed the flat one, and
+    kappa c stands for the curvature the metric gives the translation modes
+    (the Laplacian kernel), which `_descend` bounds from the coefficients.
+    P's FFT symbol is kappa * (c + 2n(2 - 2 cos(2 pi k / n))); P^-1's first
+    column is the inverse FFT of its reciprocal, and entry (i, j) reads that
+    column at the cyclic distance of i and j, so the matrix is symmetric bit
+    for bit. It holds n^2 floats, and one application costs O(n^2) per
+    coordinate against the FFT's O(n log n). Measured on a 2-core machine at
+    50 starts and one BLAS thread, the product takes 25 us against the FFT's
+    75 us at n = 64 and 0.44 ms against 0.54 ms at n = 256, but 1.9 ms
+    against 0.67 ms at n = 512.
     """
     k = np.arange(n)
     lam = 2.0 * n * (2.0 - 2.0 * np.cos(2.0 * np.pi * k / n))
-    column = np.fft.ifft(1.0 / (kappa * (lam + _PRECOND_SHIFT))).real
+    column = np.fft.ifft(1.0 / (kappa * (lam + shift))).real
     gap = np.abs(k[:, None] - k)
     return column[np.minimum(gap, n - gap)]
 
@@ -245,10 +251,19 @@ def _descend(metric: FinslerMetric, winding: tuple[int, int], config: SolverConf
     """Descend from S starts x0, shape (S, N, 2), as one array program.
 
     Each start takes preconditioned L-BFGS steps: `_MEMORY` (s, y) pairs and
-    the initial inverse Hessian gamma * P^-1, P the Sobolev preconditioner
-    and gamma = s.y / y.P^-1 y of the newest pair (1 with no pair). P^-1 is
-    built once per call as a dense N x N matrix (`_precond_inverse`), which
-    takes O(N^2) memory and makes each application an O(N^2) product. A step
+    the initial inverse Hessian gamma * P^-1, P = kappa (c I + 2N L) the
+    Sobolev preconditioner and gamma = s.y / y.P^-1 y of the newest pair (1
+    with no pair). kappa = c_F^2 (`comparison_constant`), and the shift
+    c = max(|winding|^2 h / (N kappa), `_PRECOND_FLOOR`) with
+    h = `translation_curvature(metric)`, a certified bound on |hess_x F^2| at
+    unit speed. F^2 is 2-homogeneous in v, so along a rigid translation of a
+    straight loop in the class (every vertex moved by one unit vector) the
+    action N sum F^2(m_i, winding / N) curves by at most |winding|^2 h / N
+    per unit squared displacement, which is kappa c: exact on a bump's
+    trough, while the floor keeps P invertible where h = 0 (a flat metric, a
+    constant drift). Both are computed once per call, and P^-1 is built as a
+    dense N x N matrix (`_precond_inverse`), which takes O(N^2) memory and
+    makes each application an O(N^2) product. A step
     whose direction is not a descent direction, or a start with no pairs,
     uses P^-1 g: a plain step. The trial step starts at 1 and shrinks by
     `_STEP_SHRINK` until `_accepted`: Armijo's test, or the approximate Wolfe
@@ -276,7 +291,9 @@ def _descend(metric: FinslerMetric, winding: tuple[int, int], config: SolverConf
     _require_finite(x)
     n_starts, n = x.shape[:2]
     kappa = comparison_constant(metric) ** 2
-    pinv = _precond_inverse(n, kappa)
+    winding_sq = float(winding[0] ** 2 + winding[1] ** 2)
+    shift = max(winding_sq * translation_curvature(metric) / (n * kappa), _PRECOND_FLOOR)
+    pinv = _precond_inverse(n, kappa, shift)
     a, grad = _evaluate(metric, x, winding)
     histories = [[float(ai)] for ai in a]
     mem_s = np.zeros((n_starts, _MEMORY, n, 2))

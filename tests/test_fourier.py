@@ -248,6 +248,25 @@ def test_lipschitz_bound_single_mode_exact(k, ab):
 @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6), st.integers(1, 4),
        st.floats(1e-3, 1e3))
 @settings(max_examples=40, deadline=None)
+def test_hessian_bound_dominates_sampled_hessian(seed, n_modes, kmax, amp):
+    f = rand_series(np.random.default_rng(seed), n_modes=n_modes, kmax=kmax, amp=amp)
+    fxx, fxy, fyy = on_grid((f.derivative(2, 0), f.derivative(1, 1), f.derivative(0, 2)), 256)
+    # the larger eigenvalue magnitude of [[fxx, fxy], [fxy, fyy]] at each grid point
+    top = np.abs(0.5 * (fxx + fyy)) + np.hypot(0.5 * (fxx - fyy), fxy)
+    assert float(top.max()) <= f.hessian_bound() * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("k, ab", [((1, 0), (1.0, 0.0)), ((0, 3), (0.0, -2.5)),
+                                   ((2, -1), (0.3, 0.4)), ((4, 4), (-1e-3, 7.0))])
+def test_hessian_bound_single_mode_exact(k, ab):
+    f = Fourier2D(1.5, {k: ab})
+    assert f.hessian_bound() == (TWO_PI * np.hypot(*k)) ** 2 * np.hypot(*ab)
+    assert Fourier2D(-3.0).hessian_bound() == 0.0
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6), st.integers(1, 4),
+       st.floats(1e-3, 1e3))
+@settings(max_examples=40, deadline=None)
 def test_sup_bound_dominates_sampled_values(seed, n_modes, kmax, amp):
     f = rand_series(np.random.default_rng(seed), n_modes=n_modes, kmax=kmax, amp=amp)
     assert float(np.abs(f.grid_values(256)).max()) <= f.sup_bound() * (1.0 + 1e-12)

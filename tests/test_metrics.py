@@ -20,7 +20,7 @@ from torusgeo.errors import (
     NotAConformalFactorError,
 )
 from torusgeo.fourier import Fourier2D
-from torusgeo.metrics import fiber_hessian
+from torusgeo.metrics import fiber_hessian, translation_curvature
 
 
 def random_metrics(seed=0):
@@ -253,6 +253,67 @@ def test_degenerate_metric_rejected():
     m = RandersMetric(euclidean(), (1.0 - 1e-10, 0.0))
     with pytest.raises(InvalidMetricError):
         comparison_constant(m)
+
+
+def test_comparison_constant_and_curvature_are_certified_once_per_metric(monkeypatch):
+    from torusgeo import metrics
+    grids = []
+
+    def spied(series, n, _fn=metrics.on_grid):
+        grids.append(n)
+        return _fn(series, n)
+
+    monkeypatch.setattr(metrics, "on_grid", spied)
+    base = RiemannianMetric(Fourier2D(1.5, {(1, 0): (0.2, 0.0)}), 0.1, 1.2)
+    m = ConformalMetric(RandersMetric(base, (0.2, 0.1)), ConformalFactor.constant(2.0))
+    grids.clear()
+    first = (comparison_constant(m), translation_curvature(m))
+    certified = len(grids)
+    assert certified > 0
+    assert (comparison_constant(m), translation_curvature(m)) == first
+    assert len(grids) == certified
+
+
+# -- translation curvature ------------------------------------------------------
+
+def sampled_translation_curvature(metric, rng, count=200, step=1e-5):
+    """The largest norm of the central difference of `kernel`'s grad_x F^2 at count
+    random points x and unit vectors v: a lower estimate of the sup."""
+    x = rng.random((count, 2))
+    th = rng.uniform(0.0, 2.0 * np.pi, count)
+    v = np.stack([np.cos(th), np.sin(th)], axis=-1)
+    cols = [(metric.kernel(x + step * e, v)[1] - metric.kernel(x - step * e, v)[1]) / (2.0 * step)
+            for e in np.eye(2)]
+    return float(np.linalg.norm(np.stack(cols, axis=-1), ord=2, axis=(-2, -1)).max())
+
+
+def test_translation_curvature_bounds_the_kernels_second_differences():
+    from torusgeo.experiments import height_bump
+    aliased = ConformalMetric(euclidean(), ConformalFactor(Fourier2D(1.0, {(16, 0): (0.0, 0.5)})))
+    # its bound is g12's alone, reached where |cos 2 pi x| = 2 |vx vy| = 1
+    shear = RiemannianMetric(1.0, Fourier2D(0.0, {(1, 0): (0.3, 0.0)}), 1.0)
+    metrics = _kernel_metrics() + [ConformalMetric(euclidean(), height_bump(t))
+                                   for t in (0.05, 0.2)] + [aliased, shear]
+    rng = np.random.default_rng(17)
+    for m in metrics:
+        # 1e-6 relative covers the difference's own error
+        assert sampled_translation_curvature(m, rng) <= translation_curvature(m) * (1.0 + 1e-6)
+
+
+@pytest.mark.parametrize("t", [0.01, 0.05, 0.2, 0.5])
+def test_translation_curvature_of_the_bump_is_its_trough_curvature(t):
+    # d^2/dy^2 of 1 + t sin^2(pi (y - 1/4)) is 2 pi^2 t cos(2 pi (y - 1/4)): the bound is its sup
+    from torusgeo.experiments import height_bump
+    ref = 2.0 * np.pi ** 2 * t
+    assert abs(translation_curvature(ConformalMetric(euclidean(), height_bump(t))) - ref) \
+        <= 2.0 * np.spacing(ref)
+
+
+def test_translation_curvature_vanishes_without_x_dependence():
+    for m in (euclidean(), RiemannianMetric(2.0, 0.3, 1.5), RandersMetric(euclidean(), (0.3, -0.2)),
+              RandersMetric(RiemannianMetric(2.0, 0.3, 1.5), (0.1, 0.4)),
+              ConformalMetric(euclidean(), ConformalFactor.constant(3.0))):
+        assert translation_curvature(m) == 0.0
 
 
 # -- conformal scaling ----------------------------------------------------------

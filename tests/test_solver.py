@@ -26,7 +26,7 @@ from torusgeo import (
 from torusgeo.errors import InputDomainError, MalformedLoopError, TrivialClassError
 from torusgeo.fourier import Fourier2D
 from torusgeo.metrics import RiemannianMetric
-from torusgeo.solver import (_JITTER, _MEMORY, _PRECOND_SHIFT, _descend, _dot, _evaluate,
+from torusgeo.solver import (_JITTER, _MEMORY, _PRECOND_FLOOR, _descend, _dot, _evaluate,
                              _lbfgs_direction, _pair_distances, _precond_inverse, _precondition,
                              _single_linkage, _spread_links, _starts)
 
@@ -181,7 +181,7 @@ def test_output_is_constant_speed():
 
 def test_final_reparametrization_is_needed(monkeypatch):
     # a converged descent on an oblique conformal factor stops short of constant
-    # speed (relative gap 2.1e-6); the final reparametrization brings it to 4.1e-9
+    # speed (relative gap 2.1e-6); the final reparametrization brings it to 4.6e-9
     from torusgeo import solver
     calls = []
 
@@ -194,7 +194,7 @@ def test_final_reparametrization_is_needed(monkeypatch):
     m = ConformalMetric(euclidean(), ConformalFactor(Fourier2D(1.0, {(2, 1): (0.2, 0.35)})))
     res = shortest_loop(m, (1, 1), SolverConfig(n_vertices=64, max_iters=3000, grad_tol=1e-7,
                                                 seed=0))
-    assert res.converged and res.iterations == 22 and res.stop == "gradient"
+    assert res.converged and res.iterations == 21 and res.stop == "gradient"
     [(iterate, ([out], _, ([total], [a])))] = calls
     assert out.tobytes() == res.loop.vertices.tobytes()
     assert (total, a) == (res.length, res.action)
@@ -212,11 +212,11 @@ def test_refinement_consistency():
 # -- the batched descent core ---------------------------------------------------------
 
 def test_batch_matches_batches_of_one():
-    # at t = 0.05 the starts need 12-18 iterations: with max_iters = 12 some
-    # converge and some stop at the cap, each on its own schedule
+    # at t = 0.05 the starts need 7-11 iterations: with max_iters = 10 three
+    # converge and three stop at the cap, each on its own schedule
     from torusgeo.experiments import height_bump
     m = ConformalMetric(euclidean(), height_bump(0.05))
-    cfg = SolverConfig(n_vertices=32, num_starts=6, max_iters=12, grad_tol=1e-7, seed=0)
+    cfg = SolverConfig(n_vertices=32, num_starts=6, max_iters=10, grad_tol=1e-7, seed=0)
     x0 = _starts((1, 0), cfg)
     batch = _descend(m, (1, 0), cfg, x0)
     alone = [shortest_loop(m, (1, 0), cfg, init=DiscreteLoop(x, (1, 0))) for x in x0]
@@ -366,7 +366,7 @@ def spd_memory(n, counts, seed):
     sy = (mem_s * mem_y).sum(axis=(2, 3))
     assert sy.min() > 0.0
     rho = np.where(np.arange(_MEMORY) < np.array(counts)[:, None], 1.0 / sy, 0.0)
-    pinv = _precond_inverse(n, 1.3)
+    pinv = _precond_inverse(n, 1.3, 0.5)
     gamma = np.ones(len(counts))
     for i, c in enumerate(counts):
         if c:
@@ -409,19 +409,23 @@ def test_lbfgs_direction_of_a_start_ignores_the_others():
 @pytest.mark.parametrize("n", [32, 63, 64, 97, 128])
 def test_dense_preconditioner_inverts_the_sobolev_operator(n):
     kappa = 1.7
-    pinv = _precond_inverse(n, kappa)
-    assert pinv.shape == (n, n)
-    assert np.array_equal(pinv, pinv.T)
     # P = kappa * (c I + 2n L), L the cyclic second difference
     lap = 2.0 * np.eye(n) - np.roll(np.eye(n), 1, axis=0) - np.roll(np.eye(n), -1, axis=0)
-    p = kappa * (_PRECOND_SHIFT * np.eye(n) + 2.0 * n * lap)
-    assert np.abs(p @ pinv - np.eye(n)).max() <= 1e-12
-    # the same values as dividing by P's FFT symbol along the vertex axis
     k = np.arange(n)
-    symbol = kappa * (2.0 * n * (2.0 - 2.0 * np.cos(2.0 * np.pi * k / n)) + _PRECOND_SHIFT)
     g = np.random.default_rng(n).standard_normal((5, n, 2))
-    ref = np.real(np.fft.ifft(np.fft.fft(g, axis=1) / symbol[:, None], axis=1))
-    assert np.abs(_precondition(g, pinv) - ref).max() <= 1e-12 * np.abs(ref).max()
+    for shift in (_PRECOND_FLOOR, 50.0):
+        pinv = _precond_inverse(n, kappa, shift)
+        assert pinv.shape == (n, n)
+        assert np.array_equal(pinv, pinv.T)
+        p = kappa * (shift * np.eye(n) + 2.0 * n * lap)
+        # a computed inverse leaves a residual of order eps times P's condition
+        # number, at most 1 + 8n / shift: 1e6 at the floor and n = 128
+        cond = 1.0 + 8.0 * n / shift
+        assert np.abs(p @ pinv - np.eye(n)).max() <= np.finfo(float).eps * cond
+        # the same values as dividing by P's FFT symbol along the vertex axis
+        symbol = kappa * (2.0 * n * (2.0 - 2.0 * np.cos(2.0 * np.pi * k / n)) + shift)
+        ref = np.real(np.fft.ifft(np.fft.fft(g, axis=1) / symbol[:, None], axis=1))
+        assert np.abs(_precondition(g, pinv) - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("winding, n, starts, seed", [
@@ -854,6 +858,20 @@ def test_minimizer_set_evaluates_each_start_once(monkeypatch):
     assert rep.n_converged + rep.n_failed == 5
     assert batches == [5]
     assert len(calls) == 0  # the comparison constant reads only coefficients
+
+
+@pytest.mark.parametrize("t, most", [(0.0, 4), (0.2, 20)])
+def test_uniqueness_descents_converge_in_few_iterations(t, most):
+    # the default uniqueness solve at seed 1: 50 starts of N = 64. The start
+    # nearest the bump's crest slides off it along the translation mode, at
+    # a rate set by how far P's shift exceeds that mode's curvature
+    # 2 pi^2 t / N: a shift of 0.5, 10x too stiff, takes 47 iterations
+    from torusgeo.experiments import height_bump
+    m = euclidean() if t == 0.0 else ConformalMetric(euclidean(), height_bump(t))
+    cfg = SolverConfig(n_vertices=64, max_iters=3000, grad_tol=1e-7, num_starts=50, seed=1)
+    results = _descend(m, (1, 0), cfg, _starts((1, 0), cfg))
+    assert all(r.converged for r in results)
+    assert max(r.iterations for r in results) <= most
 
 
 def test_descent_reports_the_lengths_of_its_final_loops():
